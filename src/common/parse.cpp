@@ -3,6 +3,8 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
+#include <system_error>
 
 #include "src/common/error.hpp"
 
@@ -74,6 +76,17 @@ std::vector<std::string> split_flag_list(std::string_view value,
     rest.remove_prefix(comma + 1);
   }
   return items;
+}
+
+std::string parse_dir_flag(std::string_view value, std::string_view flag) {
+  std::string dir(value);
+  std::error_code ec;
+  if (!dir.empty() && !std::filesystem::is_directory(dir, ec)) {
+    const std::string name(flag);
+    throw ConfigError(name, "invalid value for " + name + ": '" + dir +
+                                "' is not an existing directory");
+  }
+  return dir;
 }
 
 }  // namespace capart

@@ -1,5 +1,5 @@
 // Strict command-line value parsing shared by the CLI front ends
-// (tools/capart_sim, bench/bench_common).
+// (tools/capart_sim, tools/capart_perfsmoke, bench/bench_common).
 //
 // strtoull alone is a trap for flag parsing: it accepts a leading '-' and
 // wraps the negation into a huge unsigned value ("--intervals=-1" became
@@ -42,5 +42,11 @@ double parse_f64_flag(std::string_view value, std::string_view flag);
 /// which would only fail much later and far less legibly.
 std::vector<std::string> split_flag_list(std::string_view value,
                                          std::string_view flag);
+
+/// Validates a directory flag (--trace-dir=DIR): an empty value (the flag's
+/// "off") passes through; anything else must name an existing directory, or
+/// ConfigError naming `flag` is thrown — at parse time, instead of an I/O
+/// failure deep inside the first run that touches it.
+std::string parse_dir_flag(std::string_view value, std::string_view flag);
 
 }  // namespace capart

@@ -45,10 +45,6 @@ std::uint32_t RuntimeSystem::policy_ways() const noexcept {
 }
 
 Cycles RuntimeSystem::on_interval(std::uint64_t interval_index) {
-  // Interval-boundary sync: apply every queued utility-monitor observe
-  // before the policy reads the UMON or anything resets it (no-op when the
-  // monitor feed is serial).
-  system_.sync_monitor();
   // Monitor: read and rebase the performance counters.
   const auto deltas = system_.counters().sample_interval();
   history_.push_back(

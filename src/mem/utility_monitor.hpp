@@ -18,16 +18,6 @@
 // This substrate powers the measured-curve partitioning policy
 // (core::UmonPolicy) and the abl_umon ablation, which compares learning
 // curves by exploration (the paper's scheme) against measuring them.
-//
-// Sharding (--intra-jobs): the monitor's state decomposes cleanly by shadow
-// set — the tag directory, recency order, block index and fill counts are
-// all per-set-disjoint arrays — so observes of different shadow sets touch
-// disjoint memory and can run on different threads. Only the interval
-// counters are cross-set, so they carry a shard dimension (shard =
-// shadow_set % shards) and readers sum across shards; uint64 addition is
-// commutative, so every read is bit-identical to the single-shard layout no
-// matter how observes interleaved. `ShardedUmonFeed` (umon_feed.hpp) is the
-// queueing harness that actually fans observes out.
 #pragma once
 
 #include <cstdint>
@@ -44,32 +34,12 @@ namespace capart::mem {
 class UtilityMonitor {
  public:
   /// Monitors threads of a cache with `geometry`, sampling every
-  /// `2^sampling_shift`-th set (0 monitors every set). `shards` partitions
-  /// the interval counters for parallel feeding (clamped to [1,
-  /// sampled_sets]); results are identical for every shard count.
+  /// `2^sampling_shift`-th set (0 monitors every set).
   UtilityMonitor(const CacheGeometry& geometry, ThreadId num_threads,
-                 std::uint32_t sampling_shift = 3, std::uint32_t shards = 1);
+                 std::uint32_t sampling_shift = 3);
 
   /// Feeds one access by `thread`; cheap no-op for unsampled sets.
   void observe(ThreadId thread, Addr addr);
-
-  /// Routing half of observe(): true when `addr` maps to a sampled set, with
-  /// the shadow-set index in `shadow_set`. Lets a parallel feed drop
-  /// unsampled accesses at the producer and queue the rest by shard.
-  bool route(Addr addr, std::uint32_t& shadow_set) const noexcept;
-
-  /// Shard owning `shadow_set`'s counters. Observes within one shard must be
-  /// ordered (one worker per shard); different shards may run concurrently.
-  std::uint32_t shard_of(std::uint32_t shadow_set) const noexcept {
-    return shadow_set % shards_;
-  }
-
-  /// Second half of observe() after route(): updates the shadow directory of
-  /// (thread, shadow_set) and the counters of `shard`. Thread-safe against
-  /// concurrent calls for different shards; callers guarantee per-shard
-  /// serialization (see shard_of).
-  void observe_routed(std::uint32_t shard, ThreadId thread, Addr addr,
-                      std::uint32_t shadow_set);
 
   /// Hits (since the last interval reset) that landed at LRU stack position
   /// `depth` (0 = MRU) in the thread's shadow directory, raw (unscaled).
@@ -88,7 +58,6 @@ class UtilityMonitor {
   void reset_interval();
 
   std::uint32_t sampled_sets() const noexcept { return sampled_sets_; }
-  std::uint32_t shards() const noexcept { return shards_; }
   /// Deepest way the shadow directory can predict for (the monitored
   /// cache's associativity); callers running in a larger virtual way space
   /// clamp their queries here.
@@ -109,7 +78,6 @@ class UtilityMonitor {
   ThreadId num_threads_;
   std::uint32_t sampling_shift_;
   std::uint32_t sampled_sets_;
-  std::uint32_t shards_;
   IndexKind index_kind_;
   // Per thread: shadow tags (sampled_sets x ways; kInvalidTag marks an empty
   // way, same sentinel layout as the cache core, so the probe is the
@@ -126,11 +94,10 @@ class UtilityMonitor {
   /// first invalid way and nothing is ever invalidated, so the fill count
   /// *is* the first invalid way — no scan needed (both mechanisms).
   std::vector<std::vector<std::uint16_t>> shadow_fill_;
-  /// Interval counters, sharded so parallel feed workers never contend:
-  /// readers sum across shards (bit-identical for any shard count).
-  std::vector<std::vector<std::uint64_t>> depth_hits_;  // [shard][t * ways + d]
-  std::vector<std::vector<std::uint64_t>> accesses_;    // [shard][thread]
-  std::vector<std::vector<std::uint64_t>> misses_;      // [shard][thread]
+  /// Interval counters, cleared by reset_interval().
+  std::vector<std::uint64_t> depth_hits_;  // [thread * ways + depth]
+  std::vector<std::uint64_t> accesses_;    // [thread]
+  std::vector<std::uint64_t> misses_;      // [thread]
 };
 
 }  // namespace capart::mem

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <deque>
 #include <exception>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -13,7 +11,6 @@
 #include "src/common/error.hpp"
 #include "src/obs/events.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/sim/trace_spool.hpp"
 
 namespace capart::sim {
 namespace {
@@ -191,62 +188,35 @@ BatchResult BatchRunner::run(const ExperimentSpec& spec) const {
   // same backlog signal the runner itself acts on.
   std::atomic<std::size_t> pending{spec.arms.size()};
 
-  auto report_failure = [&](const ExperimentArm& arm, ArmOutcome& out) {
-    if (obs::MetricsRegistry* metrics = arm.config.obs.metrics) {
-      metrics->add("batch/arms_failed");
-      if (out.retries > 0) metrics->add("batch/arm_retries", out.retries);
-    }
-    if (arm.config.obs.sink != nullptr) {
-      arm.config.obs.sink->on_arm_failed(
-          {arm.config.obs.run_name.empty() ? out.name : arm.config.obs.run_name,
-           out.name, std::string(to_string(out.status)), out.error,
-           out.retries});
-      arm.config.obs.sink->flush();
-    }
-    if (policy_.fail_fast) {
-      abort.store(true, std::memory_order_relaxed);
-      for (CancelToken& token : tokens) token.cancel();
-    }
-  };
-
-  // Marks arm i as claimed by this worker; false means fail-fast already
-  // cancelled the batch and the arm was recorded as skipped.
-  auto claim_arm = [&](std::size_t i) -> bool {
+  // One arm: claim it (skipped once fail-fast cancelled the batch), then
+  // its retry loop; a failure is reported through the arm's obs attachment.
+  auto run_arm = [&](std::size_t i) {
     const ExperimentArm& arm = spec.arms[i];
     ArmOutcome& out = batch.arms[i];
+    obs::MetricsRegistry* metrics = arm.config.obs.metrics;
     const std::size_t left =
         pending.fetch_sub(1, std::memory_order_relaxed) - 1;
-    if (obs::MetricsRegistry* metrics = arm.config.obs.metrics) {
+    if (metrics != nullptr) {
       metrics->set_gauge("batch/queue_depth", static_cast<double>(left));
     }
     if (policy_.fail_fast && abort.load(std::memory_order_relaxed)) {
       out.status = ArmStatus::kFailed;
       out.error = "skipped: batch cancelled (fail-fast)";
-      if (obs::MetricsRegistry* metrics = arm.config.obs.metrics) {
-        metrics->add("batch/arms_failed");
-      }
-      return false;
+      if (metrics != nullptr) metrics->add("batch/arms_failed");
+      return;
     }
-    return true;
-  };
 
-  // The retry loop of one (already claimed) arm. `first_attempt` > 0 means
-  // earlier attempts already ran elsewhere (a lockstep group member that
-  // failed in the group re-runs solo with its group attempt spent).
-  auto run_arm_attempts = [&](std::size_t i, std::uint32_t first_attempt) {
-    const ExperimentArm& arm = spec.arms[i];
-    ArmOutcome& out = batch.arms[i];
     const auto arm_start = std::chrono::steady_clock::now();
     ExperimentConfig config = arm.config;
     config.cancel = &tokens[i];
-    for (std::uint32_t attempt = first_attempt;; ++attempt) {
+    for (std::uint32_t attempt = 0;; ++attempt) {
       tokens[i].rearm_deadline(policy_.arm_deadline_seconds);
       try {
         out.result = run_experiment(config);
         out.status = ArmStatus::kOk;
         out.retries = attempt;
-        out.wall_seconds += seconds_since(arm_start);
-        if (obs::MetricsRegistry* metrics = arm.config.obs.metrics) {
+        out.wall_seconds = seconds_since(arm_start);
+        if (metrics != nullptr) {
           metrics->add("batch/arms_completed");
           if (attempt > 0) metrics->add("batch/arm_retries", attempt);
           metrics->observe("batch/arm_wall_seconds", out.wall_seconds);
@@ -272,167 +242,27 @@ BatchResult BatchRunner::run(const ExperimentSpec& spec) const {
         break;
       }
     }
-    out.wall_seconds += seconds_since(arm_start);
-    if (obs::MetricsRegistry* metrics = arm.config.obs.metrics) {
+    out.wall_seconds = seconds_since(arm_start);
+    if (metrics != nullptr) {
       metrics->observe("batch/arm_wall_seconds", out.wall_seconds);
+      metrics->add("batch/arms_failed");
+      if (out.retries > 0) metrics->add("batch/arm_retries", out.retries);
     }
-    report_failure(arm, out);
+    if (arm.config.obs.sink != nullptr) {
+      arm.config.obs.sink->on_arm_failed(
+          {arm.config.obs.run_name.empty() ? out.name : arm.config.obs.run_name,
+           out.name, std::string(to_string(out.status)), out.error,
+           out.retries});
+      arm.config.obs.sink->flush();
+    }
+    if (policy_.fail_fast) {
+      abort.store(true, std::memory_order_relaxed);
+      for (CancelToken& token : tokens) token.cancel();
+    }
   };
-
-  auto run_arm = [&](std::size_t i) {
-    if (claim_arm(i)) run_arm_attempts(i, 0);
-  };
-
-  // A lockstep group: prepare every member against the shared decoded
-  // trace, then advance the survivors round-robin, one interval boundary
-  // per visit, so all live arms finish interval k before any starts k+1.
-  // A failing member leaves the group (terminal outcome for CancelledError,
-  // solo retry for other exceptions when the policy allows); its siblings
-  // advance on, bit-identical to a batch that never contained it.
-  auto run_group = [&](const std::vector<std::size_t>& members) {
-    struct LiveArm {
-      std::size_t index;
-      std::unique_ptr<PreparedExperiment> prepared;
-    };
-    std::vector<LiveArm> live;
-    std::vector<std::size_t> solo_retry;
-
-    auto record_terminal = [&](std::size_t i, const CancelledError& error,
-                               double arm_wall) {
-      ArmOutcome& out = batch.arms[i];
-      out.status = error.deadline_expired() ? ArmStatus::kTimedOut
-                                            : ArmStatus::kFailed;
-      out.error = error.what();
-      out.retries = 0;
-      out.wall_seconds += arm_wall;
-      if (obs::MetricsRegistry* metrics = spec.arms[i].config.obs.metrics) {
-        metrics->observe("batch/arm_wall_seconds", out.wall_seconds);
-      }
-      report_failure(spec.arms[i], out);
-    };
-
-    // Group attempt counts as attempt 0; whether a failed member retries
-    // solo follows the same rule as the solo loop's `attempt <
-    // max_retries` check at attempt == 0.
-    auto fail_or_requeue = [&](std::size_t i, const std::exception& error,
-                               double arm_wall) {
-      ArmOutcome& out = batch.arms[i];
-      out.wall_seconds += arm_wall;
-      if (policy_.max_retries > 0 &&
-          !(policy_.fail_fast && abort.load(std::memory_order_relaxed))) {
-        solo_retry.push_back(i);
-        return;
-      }
-      out.status = ArmStatus::kFailed;
-      out.error = error.what();
-      out.retries = 0;
-      if (obs::MetricsRegistry* metrics = spec.arms[i].config.obs.metrics) {
-        metrics->observe("batch/arm_wall_seconds", out.wall_seconds);
-      }
-      report_failure(spec.arms[i], out);
-    };
-
-    for (std::size_t i : members) {
-      if (!claim_arm(i)) continue;
-      const auto arm_start = std::chrono::steady_clock::now();
-      ExperimentConfig config = spec.arms[i].config;
-      config.cancel = &tokens[i];
-      tokens[i].rearm_deadline(policy_.arm_deadline_seconds);
-      try {
-        const Instructions per_thread = config.interval_instructions *
-                                        config.num_intervals /
-                                        config.num_threads;
-        auto sources = decoded_spool_sources(config, per_thread);
-        live.push_back({i, std::make_unique<PreparedExperiment>(
-                               config, std::move(sources))});
-      } catch (const CancelledError& error) {
-        record_terminal(i, error, seconds_since(arm_start));
-      } catch (const std::exception& error) {
-        fail_or_requeue(i, error, seconds_since(arm_start));
-      }
-    }
-
-    std::size_t cursor = 0;
-    while (!live.empty()) {
-      if (cursor >= live.size()) cursor = 0;
-      LiveArm& arm = live[cursor];
-      const std::size_t i = arm.index;
-      try {
-        if (arm.prepared->advance_interval()) {
-          ++cursor;
-          continue;
-        }
-        ArmOutcome& out = batch.arms[i];
-        out.result = arm.prepared->finalize();
-        out.status = ArmStatus::kOk;
-        out.retries = 0;
-        out.wall_seconds += out.result.wall_seconds;
-        if (obs::MetricsRegistry* metrics =
-                spec.arms[i].config.obs.metrics) {
-          metrics->add("batch/arms_completed");
-          metrics->observe("batch/arm_wall_seconds", out.wall_seconds);
-        }
-      } catch (const CancelledError& error) {
-        record_terminal(i, error, arm.prepared->wall_so_far());
-      } catch (const std::exception& error) {
-        fail_or_requeue(i, error, arm.prepared->wall_so_far());
-      }
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(cursor));
-    }
-
-    for (std::size_t i : solo_retry) run_arm_attempts(i, 1);
-  };
-
-  // Work units: by default one per arm. Under the lockstep policy, arms
-  // sharing a spool identity (and spool directory) form one unit, emitted
-  // at the first member's spec position so deterministic ordering survives.
-  std::vector<std::vector<std::size_t>> units;
-  if (policy_.lockstep) {
-    auto group_key = [](const ExperimentConfig& config) -> std::string {
-      if (config.trace_spool_dir.empty() || !config.migrations.empty() ||
-          config.num_threads < 1) {
-        return {};
-      }
-      const Instructions per_thread = config.interval_instructions *
-                                      config.num_intervals /
-                                      config.num_threads;
-      return spool_key(config, per_thread, 0) + ";dir=" +
-             config.trace_spool_dir;
-    };
-    std::map<std::string, std::vector<std::size_t>> groups;
-    std::vector<std::string> keys(spec.arms.size());
-    for (std::size_t i = 0; i < spec.arms.size(); ++i) {
-      keys[i] = group_key(spec.arms[i].config);
-      if (!keys[i].empty()) groups[keys[i]].push_back(i);
-    }
-    for (std::size_t i = 0; i < spec.arms.size(); ++i) {
-      if (keys[i].empty()) {
-        units.push_back({i});
-        continue;
-      }
-      const std::vector<std::size_t>& group = groups[keys[i]];
-      if (group.size() == 1) {
-        units.push_back({i});
-      } else if (group.front() == i) {
-        units.push_back(group);
-      }
-    }
-  } else {
-    units.reserve(spec.arms.size());
-    for (std::size_t i = 0; i < spec.arms.size(); ++i) units.push_back({i});
-  }
 
   const auto start = std::chrono::steady_clock::now();
-  run_indexed(
-      units.size(),
-      [&](std::size_t u) {
-        if (units[u].size() == 1) {
-          run_arm(units[u].front());
-        } else {
-          run_group(units[u]);
-        }
-      },
-      nullptr);
+  run_indexed(spec.arms.size(), run_arm, nullptr);
   batch.wall_seconds = seconds_since(start);
   return batch;
 }

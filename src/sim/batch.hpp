@@ -68,17 +68,6 @@ struct BatchPolicy {
   /// On the first arm failure, cancel the arms still running (they stop at
   /// their next interval boundary) and skip the ones not yet started.
   bool fail_fast = false;
-  /// Multi-arm lockstep replay (opt-in): arms sharing a resolved-trace spool
-  /// identity — same profile, seed, work split and private hierarchy, with a
-  /// spool directory configured and no migration schedule — are prepared
-  /// together and advanced interval-by-interval from one shared decoded
-  /// trace, so each packed record is decoded once per group instead of once
-  /// per arm per replay (fig19-21's arm union replays 9 spools 8x each).
-  /// Results are bit-identical to serial execution (each arm still owns its
-  /// system and driver; pinned by test_lockstep_differential), and per-arm
-  /// fault containment, deadlines, retries and fail-fast all survive: a
-  /// throwing arm leaves the group, its siblings advance on.
-  bool lockstep = false;
 };
 
 /// One arm's result plus its own wall time and terminal status. `result` is

@@ -13,7 +13,6 @@
 #include "src/mem/cache_config.hpp"
 #include "src/mem/l2_organization.hpp"
 #include "src/mem/set_assoc_cache.hpp"
-#include "src/mem/umon_feed.hpp"
 #include "src/mem/utility_monitor.hpp"
 #include "src/trace/access.hpp"
 
@@ -49,12 +48,6 @@ struct SystemConfig {
   /// way masks with `clos_budget` classes of service).
   mem::L2Enforce l2_enforce = mem::L2Enforce::kModeDefault;
   std::uint32_t clos_budget = 8;
-  /// Shards (worker threads) feeding the utility monitor (--intra-jobs).
-  /// The UMON is pure instrumentation read only at interval boundaries, so
-  /// its observes run off the driver's thread, sharded by shadow set;
-  /// sync_monitor() is the boundary sync. Results are bit-identical to the
-  /// serial feed for any value (see mem::ShardedUmonFeed). 1 = synchronous.
-  std::uint32_t monitor_shards = 1;
 };
 
 /// Per-bank contention telemetry of the shared cache (the timing model's
@@ -90,12 +83,6 @@ class CmpSystem {
   Cycles memory_access_resolved(ThreadId thread, Addr addr, AccessType type,
                                 bool prefetchable,
                                 trace::ResolvedLevel level, Cycles now);
-
-  /// Blocks until every queued utility-monitor observe has been applied
-  /// (no-op when monitor_shards <= 1 or the monitor is off). Must run before
-  /// anything reads or resets the monitor — the runtime calls it first thing
-  /// at each interval boundary.
-  void sync_monitor();
 
   /// Executes `count` non-memory instructions from `thread`.
   Cycles non_memory(ThreadId thread, Instructions count);
@@ -138,9 +125,6 @@ class CmpSystem {
   std::vector<mem::SetAssocCache> private_l2s_;  // one per core, optional
   std::unique_ptr<mem::L2Organization> l2_;
   std::unique_ptr<mem::UtilityMonitor> umon_;
-  /// Parallel observe queue (monitor_shards > 1 only; else observes stay
-  /// synchronous and this is null).
-  std::unique_ptr<mem::ShardedUmonFeed> umon_feed_;
   std::vector<Cycles> bank_busy_until_;
   std::vector<BankContention> bank_contention_;
   cpu::PerfCounters counters_;

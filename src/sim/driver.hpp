@@ -102,14 +102,14 @@ class Driver {
   /// exhausted + finalize(), in one call.
   RunOutcome run();
 
-  // Sliced execution: the lockstep batch runner interleaves several sibling
-  // drivers interval-by-interval, so the run loop is also exposed in three
-  // stages. run() composes exactly these, and a sliced run is bit-identical
-  // to a monolithic one: the scan scheduler re-derives its choice from
-  // thread state every step anyway, and the heap scheduler's pop order is a
-  // pure function of the (clock, tid) total order over the runnable set, so
-  // rebuilding the heap at each slice entry reproduces the uninterrupted
-  // pop sequence.
+  // Sliced execution: the run loop is also exposed in three stages, so
+  // PreparedExperiment can drive (and callers can time) a run one interval
+  // at a time. run() composes exactly these, and a sliced run is
+  // bit-identical to a monolithic one: the scan scheduler re-derives its
+  // choice from thread state every step anyway, and the heap scheduler's
+  // pop order is a pure function of the (clock, tid) total order over the
+  // runnable set, so rebuilding the heap at each slice entry reproduces the
+  // uninterrupted pop sequence.
 
   /// Opens the first sections and releases any zero-work barriers. Call
   /// once, before the first advance_interval().

@@ -93,14 +93,6 @@ struct ExperimentConfig {
 
   std::uint64_t seed = 42;
 
-  /// Intra-experiment worker threads (--intra-jobs): parallel trace-spool
-  /// resolves and sharded utility-monitor feeding, synchronized at interval
-  /// boundaries. Purely an execution-resource knob like BatchOptions::jobs —
-  /// results are bit-identical for every value, and it is excluded from obs
-  /// manifests and serve spec codecs (it is not part of experiment
-  /// identity). 0/1 = serial.
-  std::uint32_t intra_jobs = 1;
-
   /// Directory for resolved-trace spool files (see sim/trace_spool.hpp);
   /// empty disables spooling and runs live generators. Arms sharing a
   /// workload profile amortize one generation+resolve pass through this
@@ -170,27 +162,25 @@ struct ExperimentResult {
 
 ExperimentResult run_experiment(const ExperimentConfig& config);
 
-/// run_experiment decomposed into prepare / advance / collect, so the
-/// lockstep batch runner can interleave sibling arms interval-by-interval
-/// (each arm is one PreparedExperiment; the group advances them round-robin
-/// from a shared decoded trace). run_experiment(config) is exactly
+/// run_experiment decomposed into prepare / advance / collect, for callers
+/// that time or drive the phases separately (the benchmark's traced run
+/// times each one). run_experiment(config) is exactly
 /// `PreparedExperiment p(config); while (p.advance_interval()) {}
 /// return p.finalize();` — results are bit-identical however the advances
 /// are interleaved with other work, because every run owns its system,
 /// sources and RNG streams.
 ///
 /// Wall-clock accounting: each phase (construction, every advance slice,
-/// finalize) accumulates into the run's wall_seconds, so a lockstep arm
-/// reports only its own simulation time, not its siblings' — keeping
-/// BatchResult::serial_seconds honest under interleaving.
+/// finalize) accumulates into the run's wall_seconds, so time the caller
+/// spends between advances is not charged to the run.
 class PreparedExperiment {
  public:
   /// Everything before the first simulation step: validation, manifest
   /// publication, system construction, op sources, program, driver and
   /// runtime attachment. Non-empty `sources` (one per thread) override the
-  /// config's own op-source construction — the lockstep runner passes
-  /// replays of a shared decoded trace. Throws what run_experiment's setup
-  /// throws (ConfigError and friends).
+  /// config's own op-source construction, so a caller can build (and time)
+  /// the sources itself. Throws what run_experiment's setup throws
+  /// (ConfigError and friends).
   explicit PreparedExperiment(
       const ExperimentConfig& config,
       std::vector<std::unique_ptr<trace::OpSource>> sources = {});
@@ -206,10 +196,6 @@ class PreparedExperiment {
   /// Collects the result (call once, after advance_interval() returned
   /// false); publishes run-end events and hot-path metrics.
   ExperimentResult finalize();
-
-  /// Wall-clock consumed by this arm so far (prepare + advance slices);
-  /// the batch runner attributes a failed lockstep arm's cost from here.
-  double wall_so_far() const noexcept { return wall_accum_; }
 
   const ExperimentConfig& config() const noexcept { return config_; }
 

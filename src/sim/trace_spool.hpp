@@ -43,7 +43,7 @@ namespace capart::sim {
 
 /// The spool identity of `config` for thread `t` — everything that
 /// determines the thread's resolved stream and nothing that doesn't (shared
-/// cache, policy, enforcement, banks, index mechanism, and --jobs knobs are
+/// cache, policy, enforcement, banks, index mechanism, and the --jobs knob are
 /// all excluded; arms differing only in those share spool entries).
 std::string spool_key(const ExperimentConfig& config, Instructions per_thread,
                       ThreadId t);
@@ -52,29 +52,12 @@ std::string spool_key(const ExperimentConfig& config, Instructions per_thread,
 std::string spool_path(const std::string& dir, const std::string& key);
 
 /// Returns one resolved-replay OpSource per thread for `config`, resolving
-/// and writing missing spool entries first (`config.intra_jobs` resolve
-/// workers). Mapped files are cached in-process, so sibling arms pay one
-/// mmap each. Returns an empty vector when the config is ineligible for
-/// spooling (migration schedules rebind L1s mid-run). Throws capart::Error
-/// on I/O failure and ConfigError on invalid profile parameters.
+/// and writing missing spool entries first, one thread after another.
+/// Mapped files are cached in-process, so sibling arms pay one mmap each.
+/// Returns an empty vector when the config is ineligible for spooling
+/// (migration schedules rebind L1s mid-run). Throws capart::Error on I/O
+/// failure and ConfigError on invalid profile parameters.
 std::vector<std::unique_ptr<trace::OpSource>> spool_sources(
-    const ExperimentConfig& config, Instructions per_thread);
-
-/// One thread's spool stream fully decoded to NextOps. Shared by every
-/// sibling of a lockstep group, so each 16-byte packed record is unpacked
-/// once per process instead of once per arm per replay; freed when the last
-/// replay holding it is destroyed (the process-wide decode registry keeps
-/// only weak references).
-struct DecodedTrace {
-  std::vector<trace::NextOp> ops;
-};
-
-/// Like spool_sources, but the returned replays serve from shared
-/// DecodedTrace buffers (decoding each spool file at most once at a time,
-/// process-wide) instead of unpacking mapped records on every fill. The
-/// lockstep batch runner uses this so N sibling arms pay one decode.
-/// Same eligibility rule and exceptions as spool_sources.
-std::vector<std::unique_ptr<trace::OpSource>> decoded_spool_sources(
     const ExperimentConfig& config, Instructions per_thread);
 
 /// Shrinks `dir` to at most `max_bytes` of spool (capart_*.trc) files by

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -123,6 +124,24 @@ TEST(BenchOptions, ParsesFaultIsolationFlags) {
 TEST(BenchOptionsDeathTest, RejectsNegativeDeadline) {
   EXPECT_EXIT(parse({"--arm-deadline=-1"}), ::testing::ExitedWithCode(2),
               "invalid value for --arm-deadline");
+}
+
+// A spool directory that does not exist used to surface only as an I/O
+// error inside the first arm (or a std::terminate in capart_perfsmoke);
+// it is a flag error.
+TEST(BenchOptionsDeathTest, RejectsMissingOrNonDirectoryTraceDir) {
+  EXPECT_EXIT(parse({"--trace-dir=/nonexistent-dir-capart"}),
+              ::testing::ExitedWithCode(2), "invalid value for --trace-dir");
+  const std::string file = ::testing::TempDir() + "/capart_not_a_dir";
+  std::ofstream(file) << "x";
+  EXPECT_EXIT(parse({"--trace-dir=" + file}), ::testing::ExitedWithCode(2),
+              "invalid value for --trace-dir");
+}
+
+TEST(BenchOptions, AcceptsAnExistingTraceDirOrNone) {
+  EXPECT_EQ(parse({"--trace-dir=" + ::testing::TempDir()}).trace_dir,
+            ::testing::TempDir());
+  EXPECT_TRUE(parse({"--trace-dir="}).trace_dir.empty());
 }
 
 TEST(BenchOptionsDeathTest, HelpExitsCleanly) {

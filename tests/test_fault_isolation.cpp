@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/cancel.hpp"
@@ -271,6 +275,47 @@ TEST(FaultIsolation, ConfigValidationNamesTheOffendingField) {
 
 TEST(FaultIsolation, JsonlSinkThrowsOnUnwritablePath) {
   EXPECT_THROW(obs::JsonlSink("/nonexistent-dir-capart/events.jsonl"), Error);
+}
+
+TEST(FaultIsolation, CancelMidIntervalUnwindsCleanly) {
+  // The torn-interval shape: the token fires from another thread while the
+  // driver is mid-interval, with op rings part-consumed. The driver observes
+  // it at the next boundary and the whole stack (generators, utility
+  // monitor, spool replays on the retry) must unwind as CancelledError
+  // without leaking or asserting.
+  const std::string dir = ::testing::TempDir() + "/capart_cancel_mid";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  CancelToken token;
+  ExperimentConfig cfg;
+  cfg.profile = "ft";
+  cfg.num_threads = 4;
+  cfg.num_intervals = 4000;  // long enough that the cancel always lands
+  cfg.interval_instructions = 24'000;
+  cfg.policy = "ucp";
+  cfg.cancel = &token;  // live generators: the spool would eagerly resolve
+                        // all 4000 intervals
+
+  std::atomic<bool> cancelled{false};
+  std::thread firer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    token.cancel();
+  });
+  try {
+    (void)run_experiment(cfg);
+  } catch (const CancelledError&) {
+    cancelled = true;
+  }
+  firer.join();
+  EXPECT_TRUE(cancelled.load());
+
+  // A cancelled attempt must not poison later runs: a clean retry of the
+  // same shape (shorter, spooled this time) resolves, replays and completes.
+  cfg.cancel = nullptr;
+  cfg.num_intervals = 4;
+  cfg.trace_spool_dir = dir;
+  const ExperimentResult retry = run_experiment(cfg);
+  EXPECT_EQ(retry.intervals.size(), 4u);
 }
 
 TEST(CancelToken, StickyCancelSurvivesRearm) {

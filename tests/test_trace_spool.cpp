@@ -1,7 +1,8 @@
 // Trace-spool contract tests: spooled replay is bit-identical to the live
-// generator+private-hierarchy path, spool keys include exactly what shapes a
-// thread's resolved stream, and the in-process registry shares one mapping
-// across arms.
+// generator+private-hierarchy path (across every replacement policy x
+// enforcement mode), spool keys include exactly what shapes a thread's
+// resolved stream, and the in-process registry shares one mapping across
+// arms.
 #include "src/sim/trace_spool.hpp"
 
 #include <gtest/gtest.h>
@@ -11,10 +12,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "src/mem/cache_stats.hpp"
+#include "src/mem/l2_organization.hpp"
+#include "src/mem/replacement.hpp"
 #include "src/sim/experiment.hpp"
 #include "src/trace/trace_io.hpp"
 
@@ -40,26 +44,67 @@ std::string fresh_dir(const char* name) {
   return dir;
 }
 
-void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
-  EXPECT_EQ(a.outcome.total_cycles, b.outcome.total_cycles);
-  EXPECT_EQ(a.outcome.instructions_retired, b.outcome.instructions_retired);
+void expect_identical(const ExperimentResult& a, const ExperimentResult& b,
+                      const std::string& what = "") {
+  EXPECT_EQ(a.outcome.total_cycles, b.outcome.total_cycles) << what;
+  EXPECT_EQ(a.outcome.instructions_retired, b.outcome.instructions_retired)
+      << what;
   const mem::ThreadCacheCounters ta = a.l2_stats.total();
   const mem::ThreadCacheCounters tb = b.l2_stats.total();
-  EXPECT_EQ(ta.accesses, tb.accesses);
-  EXPECT_EQ(ta.hits, tb.hits);
-  EXPECT_EQ(ta.misses, tb.misses);
-  EXPECT_EQ(ta.writebacks, tb.writebacks);
-  ASSERT_EQ(a.intervals.size(), b.intervals.size());
-  ASSERT_EQ(a.thread_totals.size(), b.thread_totals.size());
+  EXPECT_EQ(ta.accesses, tb.accesses) << what;
+  EXPECT_EQ(ta.hits, tb.hits) << what;
+  EXPECT_EQ(ta.misses, tb.misses) << what;
+  EXPECT_EQ(ta.writebacks, tb.writebacks) << what;
+  ASSERT_EQ(a.intervals.size(), b.intervals.size()) << what;
+  for (std::size_t i = 0; i < a.intervals.size(); ++i) {
+    ASSERT_EQ(a.intervals[i].threads.size(), b.intervals[i].threads.size());
+    for (std::size_t t = 0; t < a.intervals[i].threads.size(); ++t) {
+      EXPECT_EQ(a.intervals[i].threads[t].exec_cycles,
+                b.intervals[i].threads[t].exec_cycles)
+          << what << " interval " << i << " thread " << t;
+      EXPECT_EQ(a.intervals[i].threads[t].l2_misses,
+                b.intervals[i].threads[t].l2_misses)
+          << what << " interval " << i << " thread " << t;
+    }
+  }
+  ASSERT_EQ(a.thread_totals.size(), b.thread_totals.size()) << what;
   for (std::size_t t = 0; t < a.thread_totals.size(); ++t) {
-    EXPECT_EQ(a.thread_totals[t].instructions, b.thread_totals[t].instructions);
-    EXPECT_EQ(a.thread_totals[t].exec_cycles, b.thread_totals[t].exec_cycles);
-    EXPECT_EQ(a.thread_totals[t].l1_accesses, b.thread_totals[t].l1_accesses);
-    EXPECT_EQ(a.thread_totals[t].l1_misses, b.thread_totals[t].l1_misses);
-    EXPECT_EQ(a.thread_totals[t].l2_accesses, b.thread_totals[t].l2_accesses);
-    EXPECT_EQ(a.thread_totals[t].l2_misses, b.thread_totals[t].l2_misses);
+    EXPECT_EQ(a.thread_totals[t].instructions, b.thread_totals[t].instructions)
+        << what;
+    EXPECT_EQ(a.thread_totals[t].exec_cycles, b.thread_totals[t].exec_cycles)
+        << what;
+    EXPECT_EQ(a.thread_totals[t].l1_accesses, b.thread_totals[t].l1_accesses)
+        << what;
+    EXPECT_EQ(a.thread_totals[t].l1_misses, b.thread_totals[t].l1_misses)
+        << what;
+    EXPECT_EQ(a.thread_totals[t].l2_accesses, b.thread_totals[t].l2_accesses)
+        << what;
+    EXPECT_EQ(a.thread_totals[t].l2_misses, b.thread_totals[t].l2_misses)
+        << what;
   }
 }
+
+struct EnforceMode {
+  const char* name;
+  mem::L2Mode l2_mode;
+  mem::L2Enforce enforce;
+};
+
+// The four enforcement strategies a partitioned run can be under: the mode
+// default, explicit eviction control, CAT-style CLOS way masks, and the
+// flush-reconfigure organization.
+const EnforceMode kModes[] = {
+    {"default", mem::L2Mode::kPartitionedShared, mem::L2Enforce::kModeDefault},
+    {"eviction-control", mem::L2Mode::kPartitionedShared,
+     mem::L2Enforce::kEvictionControl},
+    {"clos", mem::L2Mode::kPartitionedShared, mem::L2Enforce::kClosWayMask},
+    {"flush", mem::L2Mode::kFlushReconfigureShared,
+     mem::L2Enforce::kModeDefault},
+};
+
+const mem::ReplacementKind kRepls[] = {mem::ReplacementKind::kTrueLru,
+                                       mem::ReplacementKind::kTreePlru,
+                                       mem::ReplacementKind::kSrrip};
 
 TEST(TraceSpool, SpooledRunIsBitIdenticalToLive) {
   const std::string dir = fresh_dir("capart_spool_ident");
@@ -101,7 +146,6 @@ TEST(TraceSpool, KeyCoversStreamIdentityAndNothingElse) {
   arm.l2.index = mem::IndexKind::kHash;
   arm.l2_banks = 4;
   arm.l2_enforce = mem::L2Enforce::kClosWayMask;
-  arm.intra_jobs = 7;
   EXPECT_EQ(spool_key(arm, per_thread, 0), key);
 
   // Anything shaping the generated stream or its private-hierarchy resolve
@@ -130,29 +174,56 @@ TEST(TraceSpool, MigrationRunsAreIneligible) {
   EXPECT_TRUE(spool_sources(cfg, 1000).empty());
 }
 
-TEST(TraceSpool, DecodedReplayIsBitIdenticalToMappedReplay) {
-  // The lockstep runner's shared-decode path must replay exactly what the
-  // per-arm mapped replay does (and what the live run does).
-  const std::string dir = fresh_dir("capart_spool_decoded");
+TEST(TraceSpool, SpooledMatchesLiveAcrossTheMatrix) {
+  // Every replacement policy x enforcement mode under UCP (which also feeds
+  // the utility monitor's shadow tags), on randomized seeds: a fresh base
+  // seed each run, printed so any failure is reproducible by pinning it.
+  const std::uint64_t base_seed = std::random_device{}();
+  std::printf("spool matrix base_seed=%llu\n",
+              static_cast<unsigned long long>(base_seed));
+  const std::string dir = fresh_dir("capart_spool_matrix");
+  std::mt19937_64 mix(base_seed);
+  for (const mem::ReplacementKind repl : kRepls) {
+    for (const EnforceMode& mode : kModes) {
+      ExperimentConfig cfg;
+      cfg.profile = "cg";
+      cfg.num_threads = 4;
+      cfg.num_intervals = 6;
+      cfg.interval_instructions = 24'000;
+      cfg.policy = "ucp";
+      cfg.seed = mix();
+      cfg.l2_mode = mode.l2_mode;
+      cfg.l2_enforce = mode.enforce;
+      cfg.l2.repl = repl;
+
+      const std::string what = std::string(mem::to_string(repl)) + "/" +
+                               mode.name + " seed=" +
+                               std::to_string(cfg.seed);
+      const ExperimentResult live = run_experiment(cfg);
+      ExperimentConfig spooled = cfg;
+      spooled.trace_spool_dir = dir;
+      expect_identical(live, run_experiment(spooled), what);
+    }
+  }
+}
+
+TEST(TraceSpool, CallerSuppliedSourcesMatchLive) {
+  // PreparedExperiment's caller-supplied sources (what a caller timing the
+  // source construction passes in) replay exactly what the config's own
+  // sources do.
+  const std::string dir = fresh_dir("capart_spool_supplied");
   ExperimentConfig cfg = small_config(dir);
   cfg.seed = 21;
-  const ExperimentResult live = run_experiment([&] {
-    ExperimentConfig c = cfg;
-    c.trace_spool_dir.clear();
-    return c;
-  }());
-  const ExperimentResult mapped = run_experiment(cfg);
-
+  ExperimentConfig live = cfg;
+  live.trace_spool_dir.clear();
   const Instructions per_thread =
       cfg.interval_instructions * cfg.num_intervals / cfg.num_threads;
-  auto decoded = decoded_spool_sources(cfg, per_thread);
-  ASSERT_EQ(decoded.size(), cfg.num_threads);
-  PreparedExperiment prepared(cfg, std::move(decoded));
+  auto sources = spool_sources(cfg, per_thread);
+  ASSERT_EQ(sources.size(), cfg.num_threads);
+  PreparedExperiment prepared(cfg, std::move(sources));
   while (prepared.advance_interval()) {
   }
-  const ExperimentResult from_decoded = prepared.finalize();
-  expect_identical(live, mapped);
-  expect_identical(live, from_decoded);
+  expect_identical(run_experiment(live), prepared.finalize());
 }
 
 /// Writes a spool-shaped decoy (capart_*.trc) of `bytes` zeros with an mtime

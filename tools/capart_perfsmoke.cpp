@@ -27,12 +27,13 @@
 // the committed baseline measures. The resolve stage is timed separately
 // (a dedicated spool-acquire pass before measurement, reported as
 // resolve_seconds) so the measured reps are pure replay and the JSON splits
-// the two stages. --lockstep additionally groups arms sharing a spool
-// identity onto one shared decoded trace (sim::BatchPolicy::lockstep);
-// simd_backend records which tag-probe backend the binary was built with.
+// the two stages. simd_backend records which tag-probe backend the binary
+// was built with. A --trace-dir that does not name an existing directory is
+// rejected at flag parse (exit 2).
 //
-// CI runs this in Release at --jobs=1 (tools/run via .github/workflows);
-// regenerate the baseline with:
+// CI runs this serially in Release (--jobs=1 --reps=3 --warmup=1, gated
+// with --check against the committed baseline); regenerate the baseline
+// with:
 //   build/tools/capart_perfsmoke --trace-dir=/tmp/capart_spool
 //       --out=bench/BENCH_hotpath_baseline.json  (one command line)
 #include <algorithm>
@@ -40,6 +41,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -47,6 +49,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "src/common/error.hpp"
+#include "src/common/parse.hpp"
 #include "src/mem/block_index.hpp"
 #include "src/mem/simd.hpp"
 #include "src/obs/json.hpp"
@@ -64,9 +68,7 @@ struct Options {
   ThreadId threads = 4;
   std::uint64_t seed = 42;
   unsigned jobs = 1;  // serial by default: wall time is the measurement
-  std::uint32_t intra_jobs = 1;
   std::string trace_dir;  // resolved-trace spool directory (empty = off)
-  bool lockstep = false;  // multi-arm lockstep replay (needs --trace-dir)
   std::uint32_t reps = 3;    // measured repetitions; the median gates
   std::uint32_t warmup = 1;  // throwaway passes before measuring
   std::string out = "BENCH_hotpath.json";
@@ -83,10 +85,8 @@ struct Options {
       "  --threads=N         cores (default 4)\n"
       "  --seed=N            workload seed (default 42)\n"
       "  --jobs=N            concurrent arms (default 1; keep 1 for timing)\n"
-      "  --intra-jobs=N      workers inside each experiment (default 1)\n"
-      "  --trace-dir=DIR     resolved-trace spool directory (default off)\n"
-      "  --lockstep=0|1      multi-arm lockstep replay (default 0; needs\n"
-      "                      --trace-dir; results bit-identical either way)\n"
+      "  --trace-dir=DIR     resolved-trace spool directory, must exist\n"
+      "                      (default off)\n"
       "  --reps=N            measured repetitions; median gates (default 3)\n"
       "  --warmup=N          throwaway passes before measuring (default 1)\n"
       "  --out=PATH          result JSON (default BENCH_hotpath.json)\n"
@@ -103,36 +103,42 @@ Options parse(int argc, char** argv) {
     if (eq == std::string_view::npos) usage_and_exit();
     const std::string_view key = arg.substr(0, eq);
     const std::string value{arg.substr(eq + 1)};
-    if (key == "--intervals") {
-      opt.intervals = static_cast<std::uint32_t>(std::stoul(value));
-    } else if (key == "--interval-instr") {
-      opt.interval_instructions = std::stoull(value);
-    } else if (key == "--threads") {
-      opt.threads = static_cast<ThreadId>(std::stoul(value));
-    } else if (key == "--seed") {
-      opt.seed = std::stoull(value);
-    } else if (key == "--jobs") {
-      opt.jobs = static_cast<unsigned>(std::stoul(value));
-    } else if (key == "--intra-jobs") {
-      opt.intra_jobs = static_cast<std::uint32_t>(std::stoul(value));
-    } else if (key == "--trace-dir") {
-      opt.trace_dir = value;
-    } else if (key == "--lockstep") {
-      opt.lockstep = value != "0";
-    } else if (key == "--reps") {
-      opt.reps = static_cast<std::uint32_t>(std::stoul(value));
-    } else if (key == "--warmup") {
-      opt.warmup = static_cast<std::uint32_t>(std::stoul(value));
-    } else if (key == "--out") {
-      opt.out = value;
-    } else if (key == "--check") {
-      opt.check = value;
-    } else if (key == "--tolerance") {
-      opt.tolerance = std::stod(value);
-    } else {
-      std::fprintf(stderr, "unknown flag: %.*s\n",
+    try {
+      if (key == "--intervals") {
+        opt.intervals = static_cast<std::uint32_t>(std::stoul(value));
+      } else if (key == "--interval-instr") {
+        opt.interval_instructions = std::stoull(value);
+      } else if (key == "--threads") {
+        opt.threads = static_cast<ThreadId>(std::stoul(value));
+      } else if (key == "--seed") {
+        opt.seed = std::stoull(value);
+      } else if (key == "--jobs") {
+        opt.jobs = static_cast<unsigned>(std::stoul(value));
+      } else if (key == "--trace-dir") {
+        opt.trace_dir = parse_dir_flag(value, "--trace-dir");
+      } else if (key == "--reps") {
+        opt.reps = static_cast<std::uint32_t>(std::stoul(value));
+      } else if (key == "--warmup") {
+        opt.warmup = static_cast<std::uint32_t>(std::stoul(value));
+      } else if (key == "--out") {
+        opt.out = value;
+      } else if (key == "--check") {
+        opt.check = value;
+      } else if (key == "--tolerance") {
+        opt.tolerance = std::stod(value);
+      } else {
+        std::fprintf(stderr, "unknown flag: %.*s\n",
+                     static_cast<int>(key.size()), key.data());
+        usage_and_exit();
+      }
+    } catch (const Error& error) {
+      std::fprintf(stderr, "%s\n", error.what());
+      std::exit(2);
+    } catch (const std::exception&) {
+      // std::stoul / std::stod on a malformed number.
+      std::fprintf(stderr, "invalid value for %.*s\n",
                    static_cast<int>(key.size()), key.data());
-      usage_and_exit();
+      std::exit(2);
     }
   }
   if (opt.reps == 0) {
@@ -155,7 +161,6 @@ bench::BenchOptions to_bench_options(const Options& opt) {
   bopt.threads = opt.threads;
   bopt.seed = opt.seed;
   bopt.jobs = opt.jobs;
-  bopt.intra_jobs = opt.intra_jobs;
   bopt.trace_dir = opt.trace_dir;
   return bopt;
 }
@@ -249,9 +254,7 @@ KindRun run_kind(const Options& opt, mem::IndexKind kind) {
 
   KindRun run;
   run.kind = kind;
-  sim::BatchPolicy policy;
-  policy.lockstep = opt.lockstep;
-  const sim::BatchRunner runner(opt.jobs, policy);
+  const sim::BatchRunner runner(opt.jobs);
   for (std::uint32_t r = 0; r < opt.warmup + opt.reps; ++r) {
     sim::BatchResult batch = runner.run(spec);
     const double seconds = serial_seconds_of(batch, kind);
@@ -332,13 +335,11 @@ int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
   std::printf(
       "capart_perfsmoke: fig19-21 arm union, scan vs hash tag lookup\n"
-      "  intervals=%u threads=%u seed=%llu jobs=%u intra-jobs=%u "
-      "reps=%u warmup=%u spool=%s lockstep=%s simd=%s\n",
+      "  intervals=%u threads=%u seed=%llu jobs=%u "
+      "reps=%u warmup=%u spool=%s simd=%s\n",
       opt.intervals, static_cast<unsigned>(opt.threads),
-      static_cast<unsigned long long>(opt.seed), opt.jobs, opt.intra_jobs,
-      opt.reps, opt.warmup,
-      opt.trace_dir.empty() ? "off" : opt.trace_dir.c_str(),
-      opt.lockstep ? "on" : "off",
+      static_cast<unsigned long long>(opt.seed), opt.jobs, opt.reps,
+      opt.warmup, opt.trace_dir.empty() ? "off" : opt.trace_dir.c_str(),
       std::string(mem::simd::backend_name()).c_str());
 
   const double resolve_seconds = warm_spool_stage(opt);
@@ -377,12 +378,8 @@ int main(int argc, char** argv) {
       .value(opt.seed)
       .key("jobs")
       .value(opt.jobs)
-      .key("intra_jobs")
-      .value(opt.intra_jobs)
       .key("trace_spool")
       .value(!opt.trace_dir.empty())
-      .key("lockstep")
-      .value(opt.lockstep)
       .key("simd_backend")
       .value(mem::simd::backend_name())
       .key("resolve_seconds")

@@ -74,19 +74,15 @@ flags:
                         classifying policy publishes)
   --seed=N              workload seed (default 42)
   --jobs=N              concurrent experiments in batch mode (default: all
-                        cores); results are bit-identical for any value
-  --intra-jobs=N        worker threads inside each experiment (parallel
-                        trace-spool resolves + sharded monitor feeding);
-                        results are bit-identical for any value (default 1)
-  --trace-dir=DIR       resolved-trace spool directory (default off); runs
-                        sharing a workload profile amortize one
-                        generate+resolve pass; results are bit-identical
+                        cores); each experiment runs on one thread, and
+                        results are bit-identical for any value
+  --trace-dir=DIR       resolved-trace spool directory, which must exist
+                        (default off); runs sharing a workload profile
+                        amortize one generate+resolve pass; results are
+                        bit-identical
   --trace-dir-max-bytes=N  evict least-recently-used spool files above this
                         many bytes after each acquisition (default 0 = keep
                         everything; files held by this process are exempt)
-  --lockstep[=0|1]      batch mode: arms sharing a spool identity replay one
-                        shared decoded trace in lockstep (default off);
-                        results are bit-identical
   --arm-retries=N       batch mode: re-run a failed arm up to N times
                         (default 0)
   --arm-deadline=SEC    batch mode: per-arm wall-clock budget in seconds; an
@@ -289,26 +285,12 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "invalid value for --jobs: must be >= 1\n");
           usage(2);
         }
-      } else if (key == "--intra-jobs") {
-        cfg.intra_jobs = parse_u32_flag(value, "--intra-jobs");
-        if (cfg.intra_jobs == 0) {
-          std::fprintf(stderr,
-                       "invalid value for --intra-jobs: must be >= 1\n");
-          usage(2);
-        }
       } else if (key == "--trace-dir")
-        cfg.trace_spool_dir = std::string(value);
+        cfg.trace_spool_dir = parse_dir_flag(value, "--trace-dir");
       else if (key == "--trace-dir-max-bytes")
         cfg.trace_spool_max_bytes =
             parse_u64_flag(value, "--trace-dir-max-bytes");
-      else if (key == "--lockstep") {
-        if (value.empty() || value == "1") batch_policy.lockstep = true;
-        else if (value == "0") batch_policy.lockstep = false;
-        else {
-          std::fprintf(stderr, "invalid value for --lockstep: want 0 or 1\n");
-          usage(2);
-        }
-      } else if (key == "--arm-retries")
+      else if (key == "--arm-retries")
         batch_policy.max_retries = parse_u32_flag(value, "--arm-retries");
       else if (key == "--arm-deadline")
         batch_policy.arm_deadline_seconds =
