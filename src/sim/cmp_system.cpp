@@ -55,34 +55,17 @@ CmpSystem::CmpSystem(const SystemConfig& config)
 
 Cycles CmpSystem::memory_access(ThreadId thread, Addr addr, AccessType type,
                                 bool prefetchable, Cycles now) {
-  CAPART_CHECK(thread < config_.num_threads, "thread id out of range");
-  cpu::CounterBlock& c = counters_.thread(thread);
-  c.instructions += 1;
-  c.l1_accesses += 1;
+  return memory_access_resolved(thread, addr, type, prefetchable,
+                                resolve_private(thread, addr, type), now);
+}
 
-  cpu::MemoryLevel level = cpu::MemoryLevel::kL1;
-  bool reaches_shared = !l1s_[core_of_[thread]].access(addr, type);
-  if (reaches_shared) {
-    c.l1_misses += 1;
-    if (config_.enable_private_l2) {
-      c.private_l2_accesses += 1;
-      if (private_l2s_[core_of_[thread]].access(addr, type)) {
-        c.private_l2_hits += 1;
-        level = cpu::MemoryLevel::kPrivateL2;
-        reaches_shared = false;
-      } else {
-        c.private_l2_misses += 1;
-      }
-    }
-  }
-  Cycles contention_wait = 0;
-  if (reaches_shared) {
-    level = shared_access(thread, addr, type, now, c, contention_wait);
-  }
-  const Cycles cost = timing_.memory_cost(level, prefetchable) +
-                      contention_wait;
-  c.exec_cycles += cost;
-  return cost;
+trace::ResolvedLevel CmpSystem::resolve_private(ThreadId thread, Addr addr,
+                                                AccessType type) {
+  CAPART_CHECK(thread < config_.num_threads, "thread id out of range");
+  const ThreadId core = core_of_[thread];
+  return sim::resolve_private(
+      l1s_[core], private_l2s_.empty() ? nullptr : &private_l2s_[core], addr,
+      type);
 }
 
 cpu::MemoryLevel CmpSystem::shared_access(ThreadId thread, Addr addr,
@@ -124,9 +107,8 @@ Cycles CmpSystem::memory_access_resolved(ThreadId thread, Addr addr,
   c.instructions += 1;
   c.l1_accesses += 1;
 
-  // Replay the private-hierarchy outcome's counter effects without touching
-  // the private caches — the resolve pass already ran them. The branch
-  // structure mirrors memory_access exactly.
+  // Apply the private-hierarchy outcome's counter effects; resolve_private
+  // (live, or the spool's resolve pass) already ran the private caches.
   cpu::MemoryLevel level = cpu::MemoryLevel::kL1;
   Cycles contention_wait = 0;
   switch (resolved) {
@@ -162,6 +144,17 @@ Cycles CmpSystem::non_memory(ThreadId thread, Instructions count) {
   const Cycles cost = timing_.non_memory_cost(count);
   c.exec_cycles += cost;
   return cost;
+}
+
+void CmpSystem::retire_private_run(ThreadId thread, const PrivateRun& run) {
+  CAPART_DCHECK(thread < config_.num_threads, "thread id out of range");
+  cpu::CounterBlock& c = counters_.thread(thread);
+  c.instructions += run.instructions;
+  c.exec_cycles += run.cycles;
+  c.l1_accesses += run.accesses;
+  c.l1_misses += run.private_l2_hits;
+  c.private_l2_accesses += run.private_l2_hits;
+  c.private_l2_hits += run.private_l2_hits;
 }
 
 void CmpSystem::bind(ThreadId thread, ThreadId core) {

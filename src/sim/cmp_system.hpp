@@ -50,6 +50,33 @@ struct SystemConfig {
   std::uint32_t clos_budget = 8;
 };
 
+/// Probes one core's private hierarchy for an access — its L1, then, on a
+/// miss, its private L2 when there is one — and returns the level that
+/// satisfies it (kShared when neither does). Updates the caches' contents,
+/// no counters. CmpSystem::resolve_private and the trace spool's resolve
+/// pass both go through here, so live and spooled runs agree by
+/// construction.
+inline trace::ResolvedLevel resolve_private(mem::SetAssocCache& l1,
+                                            mem::SetAssocCache* private_l2,
+                                            Addr addr, AccessType type) {
+  if (l1.access(addr, type)) return trace::ResolvedLevel::kL1Hit;
+  if (private_l2 != nullptr && private_l2->access(addr, type)) {
+    return trace::ResolvedLevel::kPrivateL2Hit;
+  }
+  return trace::ResolvedLevel::kShared;
+}
+
+/// Counter and cycle sums of a run of private-level ops: L1 and private-L2
+/// hits together with the non-memory gaps before them. Such ops touch only
+/// their own thread's counters and clock, so the driver folds a run with
+/// CmpSystem::add_to_run and applies it with retire_private_run in one step.
+struct PrivateRun {
+  Instructions instructions = 0;
+  Cycles cycles = 0;
+  std::uint64_t accesses = 0;  ///< memory ops; each hits L1 or the private L2
+  std::uint64_t private_l2_hits = 0;
+};
+
 /// Per-bank contention telemetry of the shared cache (the timing model's
 /// queueing view; per-bank hit/miss stats live on mem::BankedL2).
 struct BankContention {
@@ -69,23 +96,54 @@ class CmpSystem {
   /// `prefetchable` marks sequential-streaming accesses whose DRAM latency
   /// the prefetchers mostly hide (see cpu::TimingParams). `now` is the
   /// issuing thread's cycle clock, used only by the bank-contention model
-  /// (pass 0 when contention is disabled).
+  /// (pass 0 when contention is disabled). Equivalent to resolve_private
+  /// followed by memory_access_resolved.
   Cycles memory_access(ThreadId thread, Addr addr, AccessType type,
                        bool prefetchable = false, Cycles now = 0);
 
-  /// memory_access for a *resolved* op: the private-level outcome (`level` =
-  /// L1 hit / private-L2 hit / reaches the shared cache) was precomputed by
-  /// a trace-spool resolve pass over the identical private hierarchy, so the
-  /// private caches are not simulated again — only their counters are
-  /// updated, exactly as memory_access would have. Valid only while threads
-  /// stay on their initial 1:1 core binding (the spool refuses migration
-  /// schedules). Counter and timing effects are bit-identical.
+  /// Runs the private half of `thread`'s next access — the L1 of the core
+  /// it is bound to, then that core's private L2 — and returns the level
+  /// reached, without touching counters or the shared cache. The caller
+  /// completes the access with memory_access_resolved (or, for a private
+  /// hit, add_to_run + retire_private_run). A core's private caches see
+  /// only its own thread's stream, so the driver may resolve a thread's
+  /// accesses ahead of the global interleaving, as long as the binding does
+  /// not change in between.
+  trace::ResolvedLevel resolve_private(ThreadId thread, Addr addr,
+                                       AccessType type);
+
+  /// Completes an access whose private-level outcome (`level` = L1 hit /
+  /// private-L2 hit / reaches the shared cache) is already known: from
+  /// resolve_private, or from a trace-spool resolve pass over the identical
+  /// private hierarchy. The private caches are not probed again — only
+  /// their counters are updated — and a kShared access goes through the
+  /// shared cache. A spool-resolved level is valid only while threads stay
+  /// on their initial 1:1 core binding (the spool refuses migration
+  /// schedules).
   Cycles memory_access_resolved(ThreadId thread, Addr addr, AccessType type,
                                 bool prefetchable,
                                 trace::ResolvedLevel level, Cycles now);
 
   /// Executes `count` non-memory instructions from `thread`.
   Cycles non_memory(ThreadId thread, Instructions count);
+
+  /// Appends one private-level op — `gap` non-memory instructions, then an
+  /// access resolved to kL1Hit or kPrivateL2Hit — to `run`, with the cost
+  /// non_memory and memory_access_resolved would charge it.
+  void add_to_run(PrivateRun& run, Instructions gap,
+                  trace::ResolvedLevel level) const noexcept {
+    const bool private_l2 = level == trace::ResolvedLevel::kPrivateL2Hit;
+    run.instructions += gap + 1;
+    run.cycles += timing_.non_memory_cost(gap) +
+                  timing_.memory_cost(private_l2 ? cpu::MemoryLevel::kPrivateL2
+                                                 : cpu::MemoryLevel::kL1);
+    run.accesses += 1;
+    run.private_l2_hits += private_l2 ? 1 : 0;
+  }
+
+  /// Adds `run` to `thread`'s counters: the same effect as executing its
+  /// ops one by one through non_memory and memory_access_resolved.
+  void retire_private_run(ThreadId thread, const PrivateRun& run);
 
   /// Rebinds `thread` to `core` (thread-migration ablation; paper §VII notes
   /// its scheme tolerates rare migrations). Threads start bound 1:1.

@@ -110,13 +110,7 @@ void resolve_thread(const ExperimentConfig& config,
     const bool executed = cum + op.gap + 1 <= per_thread;
     cum += op.gap + 1;
     if (executed) {
-      if (l1.access(op.addr, op.type)) {
-        op.resolved = trace::ResolvedLevel::kL1Hit;
-      } else if (pl2 != nullptr && pl2->access(op.addr, op.type)) {
-        op.resolved = trace::ResolvedLevel::kPrivateL2Hit;
-      } else {
-        op.resolved = trace::ResolvedLevel::kShared;
-      }
+      op.resolved = resolve_private(l1, pl2.get(), op.addr, op.type);
     }
     ops.push_back(trace::pack_op(op));
   }

@@ -193,8 +193,11 @@ PackedHeader validate_packed_header(const std::string& path, const char* data,
   if (header.magic != kPackedMagic || header.version != kPackedVersion) {
     throw Error("trace: " + path + " is not a v2 packed trace");
   }
+  // Bound the count by division: `count * sizeof(PackedOp)` wraps for a
+  // corrupt count, and a wrapped product would pass a size check.
   const std::size_t offset = packed_records_offset(header.key_bytes);
-  if (file_bytes < offset + header.count * sizeof(PackedOp)) {
+  if (file_bytes < offset ||
+      header.count > (file_bytes - offset) / sizeof(PackedOp)) {
     throw Error("trace: " + path + " is truncated");
   }
   CAPART_CHECK(bytes >= sizeof(header) + header.key_bytes,

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/error.hpp"
 #include "src/mem/cache_stats.hpp"
 #include "src/mem/l2_organization.hpp"
 #include "src/mem/replacement.hpp"
@@ -333,6 +334,33 @@ TEST(TraceSpool, StreamReadFallbackIsBitIdenticalToMmap) {
   }
 
   expect_identical(run_experiment(live), streamed);
+}
+
+TEST(TraceSpool, RejectsARecordCountWhoseByteSizeOverflows) {
+  // A 2-record file whose header count is patched to 2^60 + 2: the count's
+  // byte size, (2^60 + 2) * 16, wraps to the 32 bytes the file does hold.
+  // Both the mmap and the stream-read path must reject it as truncated
+  // rather than serve 2^60 + 2 records out of a 2-record file.
+  const std::string dir = fresh_dir("capart_spool_overflow");
+  const std::string path = dir + "/overflow.trc";
+  const std::string key = "overflow-key";
+  std::vector<trace::PackedOp> ops(2);
+  trace::write_packed_trace_file(path, key, ops);
+  {
+    const std::uint64_t count = (std::uint64_t{1} << 60) + 2;
+    static_assert(sizeof(trace::PackedOp) * ((std::uint64_t{1} << 60) + 2) ==
+                  2 * sizeof(trace::PackedOp));
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.is_open());
+    f.seekp(16);  // PackedHeader::count, after magic[8], version, key_bytes
+    f.write(reinterpret_cast<const char*>(&count), sizeof(count));
+    ASSERT_TRUE(f.good());
+  }
+  EXPECT_THROW(trace::MmapTraceFile::open(path, key), Error);
+  trace::MmapTraceFile::force_stream_io_for_testing(true);
+  EXPECT_THROW(trace::MmapTraceFile::open(path, key), Error);
+  trace::MmapTraceFile::force_stream_io_for_testing(false);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -19,7 +19,11 @@
 //     *ratio* against the committed baseline and fails on a >tolerance
 //     regression. The ratio (not absolute accesses/sec) is compared so the
 //     gate holds across machines of different speeds; the threshold is
-//     --tolerance.
+//     --tolerance;
+//   * counts the driver's scheduling steps (RunOutcome::events) per shared
+//     access over the union as driver_events_per_shared_access. The count is
+//     deterministic, so --check fails when it exceeds the baseline's value
+//     at all: no tolerance, no noise.
 //
 // --trace-dir enables the resolved-trace spool (sim/trace_spool.hpp): the
 // first pass generates+resolves each profile's streams once and every later
@@ -195,6 +199,7 @@ struct KindRun {
   std::vector<double> rep_seconds;  // serial-equivalent, measured reps only
   double median_seconds = 0.0;
   std::uint64_t accesses = 0;
+  std::uint64_t events = 0;  ///< driver scheduling steps over the union
 };
 
 double serial_seconds_of(const sim::BatchResult& batch,
@@ -226,6 +231,7 @@ bool batches_identical(const sim::BatchResult& a, const sim::BatchResult& b,
         x.result.outcome.total_cycles != y.result.outcome.total_cycles ||
         x.result.outcome.instructions_retired !=
             y.result.outcome.instructions_retired ||
+        x.result.outcome.events != y.result.outcome.events ||
         tx.accesses != ty.accesses || tx.hits != ty.hits ||
         tx.misses != ty.misses || tx.writebacks != ty.writebacks) {
       std::fprintf(
@@ -269,6 +275,7 @@ KindRun run_kind(const Options& opt, mem::IndexKind kind) {
   run.median_seconds = median(run.rep_seconds);
   for (const sim::ArmOutcome& arm : run.batch.arms) {
     run.accesses += arm.result.l2_stats.total().accesses;
+    run.events += arm.result.outcome.events;
   }
   return run;
 }
@@ -304,8 +311,19 @@ void write_kind(obs::JsonWriter& w, const KindRun& run) {
   w.end_array().end_object();
 }
 
-/// Reads `path`'s speedup_hash_over_scan; exits on parse failure.
-double baseline_speedup(const std::string& path) {
+/// The baseline's gated numbers and the workload they were measured on.
+struct Baseline {
+  double speedup = 0.0;
+  double events_per_access = 0.0;
+  double intervals = 0.0;
+  double interval_instructions = 0.0;  ///< absent in older files: default
+  double threads = 0.0;
+  double seed = 0.0;
+};
+
+/// Reads `path`'s speedup_hash_over_scan and
+/// driver_events_per_shared_access; exits on parse failure.
+Baseline read_baseline(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "cannot open baseline %s\n", path.c_str());
@@ -320,13 +338,21 @@ double baseline_speedup(const std::string& path) {
                  error.c_str());
     std::exit(1);
   }
-  const obs::JsonValue* speedup = doc->find("speedup_hash_over_scan");
-  if (speedup == nullptr || !speedup->is_number()) {
-    std::fprintf(stderr, "baseline %s lacks speedup_hash_over_scan\n",
-                 path.c_str());
-    std::exit(1);
-  }
-  return speedup->as_double();
+  const auto number = [&](const char* key, bool required = true) {
+    const obs::JsonValue* v = doc->find(key);
+    if (v == nullptr && !required) return 0.0;
+    if (v == nullptr || !v->is_number()) {
+      std::fprintf(stderr, "baseline %s lacks %s\n", path.c_str(), key);
+      std::exit(1);
+    }
+    return v->as_double();
+  };
+  return {number("speedup_hash_over_scan"),
+          number("driver_events_per_shared_access"),
+          number("intervals"),
+          number("interval_instructions", false),
+          number("threads"),
+          number("seed")};
 }
 
 }  // namespace
@@ -365,6 +391,14 @@ int main(int argc, char** argv) {
     std::printf("]\n");
   }
   std::printf("  speedup (hash over scan, medians): %.2fx\n", speedup);
+  const double events_per_access =
+      hash.accesses > 0 ? static_cast<double>(hash.events) /
+                              static_cast<double>(hash.accesses)
+                        : 0.0;
+  std::printf("  driver events per shared access: %.4f (%llu / %llu)\n",
+              events_per_access,
+              static_cast<unsigned long long>(hash.events),
+              static_cast<unsigned long long>(hash.accesses));
 
   obs::JsonWriter w;
   w.begin_object()
@@ -372,6 +406,8 @@ int main(int argc, char** argv) {
       .value("hotpath")
       .key("intervals")
       .value(opt.intervals)
+      .key("interval_instructions")
+      .value(opt.interval_instructions)
       .key("threads")
       .value(static_cast<std::uint32_t>(opt.threads))
       .key("seed")
@@ -392,6 +428,8 @@ int main(int argc, char** argv) {
       .value(true)
       .key("speedup_hash_over_scan")
       .value(speedup)
+      .key("driver_events_per_shared_access")
+      .value(events_per_access)
       .key("kinds")
       .begin_array();
   write_kind(w, scan);
@@ -408,17 +446,42 @@ int main(int argc, char** argv) {
   std::printf("  wrote %s\n", opt.out.c_str());
 
   if (!opt.check.empty()) {
-    const double base = baseline_speedup(opt.check);
-    const double floor = base * (1.0 - opt.tolerance);
+    const Baseline base = read_baseline(opt.check);
+    // The event count is exact only for the workload the baseline measured.
+    if (base.intervals != opt.intervals ||
+        base.interval_instructions !=
+            static_cast<double>(opt.interval_instructions) ||
+        base.threads != opt.threads ||
+        base.seed != static_cast<double>(opt.seed)) {
+      std::fprintf(stderr,
+                   "baseline %s was measured at intervals=%.0f "
+                   "interval-instr=%.0f threads=%.0f seed=%.0f; --check needs "
+                   "the same workload\n",
+                   opt.check.c_str(), base.intervals,
+                   base.interval_instructions, base.threads, base.seed);
+      return 1;
+    }
+    const double floor = base.speedup * (1.0 - opt.tolerance);
     std::printf(
         "  baseline speedup %.2fx, tolerance %.0f%% -> floor %.2fx: %s\n",
-        base, opt.tolerance * 100.0, floor,
+        base.speedup, opt.tolerance * 100.0, floor,
         speedup >= floor ? "ok" : "REGRESSION");
+    std::printf("  baseline driver events per shared access %.4f: %s\n",
+                base.events_per_access,
+                events_per_access <= base.events_per_access ? "ok"
+                                                            : "REGRESSION");
     if (speedup < floor) {
       std::fprintf(stderr,
                    "perf regression: hash-over-scan median speedup %.2fx fell "
                    "below %.2fx (baseline %.2fx - %.0f%%)\n",
-                   speedup, floor, base, opt.tolerance * 100.0);
+                   speedup, floor, base.speedup, opt.tolerance * 100.0);
+      return 1;
+    }
+    if (events_per_access > base.events_per_access) {
+      std::fprintf(stderr,
+                   "work regression: %.6f driver events per shared access "
+                   "exceeds the baseline's %.6f\n",
+                   events_per_access, base.events_per_access);
       return 1;
     }
   }
