@@ -3,9 +3,9 @@
 // hardware (Intel RDT) cannot: it offers a small budget of contiguous way
 // masks (CLOSes) that threads must be clustered onto. This study scales the
 // thread count far past the way count (threads in {8,32,64,128} on a 64-way
-// banked L2) and sweeps the CLOS budget and the thread->CLOS mapper, with
-// the per-thread eviction-control organization as the reference wherever it
-// is still feasible (threads <= ways).
+// L2 with 8-bank contention) and sweeps the CLOS budget and the thread->CLOS
+// mapper, with the per-thread eviction-control organization as the
+// reference wherever it is still feasible (threads <= ways).
 #include <cstdint>
 #include <iostream>
 #include <string>

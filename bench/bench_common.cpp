@@ -111,9 +111,9 @@ BenchOptions parse_options(int argc, char** argv) try {
           "  --l2-index=NAME shared-L2 tag lookup (default auto; "
           "bit-identical\n"
           "                  results across kinds, different speed)\n"
-          "  --l2-banks=N    banked shared L2 (power of two; 0 = monolithic "
-          "with\n"
-          "                  infinite bandwidth; contents bit-identical)\n"
+          "  --l2-banks=N    shared-L2 bank contention (power of two; 0 = "
+          "no\n"
+          "                  contention; timing only, contents unchanged)\n"
           "  --l2-enforce=NAME  partition enforcement (clos = CAT-style "
           "way\n"
           "                  masks; supports threads > ways)\n"

@@ -9,8 +9,8 @@
 //   --seed=N                workload seed (default 42)
 //   --l2-index=NAME         shared-L2 tag lookup: scan hash auto (default
 //                           auto; bit-identical results, different speed)
-//   --l2-banks=N            banked shared L2 (power of two; 0 = monolithic
-//                           with infinite bandwidth; contents bit-identical)
+//   --l2-banks=N            shared-L2 bank contention (power of two; 0 = no
+//                           contention; timing only, contents unchanged)
 //   --l2-enforce=NAME       partition enforcement: default eviction-control
 //                           clos (clos = CAT-style way masks; supports
 //                           threads > ways)
@@ -88,9 +88,8 @@ struct BenchOptions {
   /// engineering knob — results are bit-identical across kinds; the
   /// perfsmoke harness sweeps it to quantify the hot-path win.
   mem::IndexKind l2_index = mem::IndexKind::kAuto;
-  /// Banked shared L2 (--l2-banks=N, power of two; 0 = monolithic with
-  /// infinite bandwidth). Contents stay bit-identical; banks drive the
-  /// contention model and per-bank stats.
+  /// Shared-L2 banks (--l2-banks=N, power of two; 0 = infinite bandwidth).
+  /// Timing only: banks drive the contention model, never the contents.
   std::uint32_t l2_banks = 0;
   /// Partition enforcement (--l2-enforce=default|eviction-control|clos) plus
   /// the CLOS knobs (--clos-budget=N, --clos-mapper=none|nearest|minmax).

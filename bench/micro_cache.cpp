@@ -8,28 +8,30 @@
 #include "src/common/rng.hpp"
 #include "src/mem/block_index.hpp"
 #include "src/mem/cache_core.hpp"
-#include "src/mem/partitioned_cache.hpp"
 #include "src/mem/replacement.hpp"
-#include "src/mem/set_assoc_cache.hpp"
 
 namespace {
 
 using namespace capart;
 
+constexpr auto kNone = mem::PartitionEnforcement::kNone;
+constexpr auto kEvictionControl =
+    mem::PartitionEnforcement::kWayEvictionControl;
+
 void BM_SetAssocHit(benchmark::State& state) {
-  mem::SetAssocCache cache({.sets = 256, .ways = 8, .line_bytes = 64});
-  cache.access(0, AccessType::kRead);
+  mem::CacheCore cache({.sets = 256, .ways = 8, .line_bytes = 64}, 1, kNone);
+  cache.access(0, 0, AccessType::kRead);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.access(0, AccessType::kRead));
+    benchmark::DoNotOptimize(cache.access(0, 0, AccessType::kRead).hit);
   }
 }
 BENCHMARK(BM_SetAssocHit);
 
 void BM_SetAssocMissStream(benchmark::State& state) {
-  mem::SetAssocCache cache({.sets = 256, .ways = 8, .line_bytes = 64});
+  mem::CacheCore cache({.sets = 256, .ways = 8, .line_bytes = 64}, 1, kNone);
   Addr addr = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.access(addr, AccessType::kRead));
+    benchmark::DoNotOptimize(cache.access(0, addr, AccessType::kRead).hit);
     addr += 64;
   }
 }
@@ -37,8 +39,8 @@ BENCHMARK(BM_SetAssocMissStream);
 
 void BM_PartitionedHit(benchmark::State& state) {
   const auto ways = static_cast<std::uint32_t>(state.range(0));
-  mem::PartitionedCache cache({.sets = 256, .ways = ways, .line_bytes = 64},
-                              4, mem::PartitionMode::kEvictionControl);
+  mem::CacheCore cache({.sets = 256, .ways = ways, .line_bytes = 64}, 4,
+                       kEvictionControl);
   cache.access(0, 0, AccessType::kRead);
   for (auto _ : state) {
     benchmark::DoNotOptimize(cache.access(0, 0, AccessType::kRead));
@@ -48,8 +50,8 @@ BENCHMARK(BM_PartitionedHit)->Arg(16)->Arg(64);
 
 void BM_PartitionedMissEvictionControl(benchmark::State& state) {
   const auto ways = static_cast<std::uint32_t>(state.range(0));
-  mem::PartitionedCache cache({.sets = 256, .ways = ways, .line_bytes = 64},
-                              4, mem::PartitionMode::kEvictionControl);
+  mem::CacheCore cache({.sets = 256, .ways = ways, .line_bytes = 64}, 4,
+                       kEvictionControl);
   Rng rng(1);
   for (auto _ : state) {
     const auto tid = static_cast<ThreadId>(rng.below(4));
@@ -60,8 +62,7 @@ void BM_PartitionedMissEvictionControl(benchmark::State& state) {
 BENCHMARK(BM_PartitionedMissEvictionControl)->Arg(16)->Arg(64);
 
 void BM_PartitionedMissGlobalLru(benchmark::State& state) {
-  mem::PartitionedCache cache({.sets = 256, .ways = 64, .line_bytes = 64}, 4,
-                              mem::PartitionMode::kUnpartitioned);
+  mem::CacheCore cache({.sets = 256, .ways = 64, .line_bytes = 64}, 4, kNone);
   Rng rng(1);
   for (auto _ : state) {
     const auto tid = static_cast<ThreadId>(rng.below(4));
@@ -88,8 +89,7 @@ void repl_arg_name(benchmark::internal::Benchmark* b) {
 }
 
 void BM_ReplacementHit(benchmark::State& state) {
-  mem::PartitionedCache cache(repl_geometry(state.range(0)), 4,
-                              mem::PartitionMode::kEvictionControl);
+  mem::CacheCore cache(repl_geometry(state.range(0)), 4, kEvictionControl);
   cache.access(0, 0, AccessType::kRead);
   for (auto _ : state) {
     benchmark::DoNotOptimize(cache.access(0, 0, AccessType::kRead));
@@ -98,8 +98,7 @@ void BM_ReplacementHit(benchmark::State& state) {
 BENCHMARK(BM_ReplacementHit)->Apply(repl_arg_name);
 
 void BM_ReplacementMissEvictionControl(benchmark::State& state) {
-  mem::PartitionedCache cache(repl_geometry(state.range(0)), 4,
-                              mem::PartitionMode::kEvictionControl);
+  mem::CacheCore cache(repl_geometry(state.range(0)), 4, kEvictionControl);
   Rng rng(1);
   for (auto _ : state) {
     const auto tid = static_cast<ThreadId>(rng.below(4));
@@ -110,8 +109,7 @@ void BM_ReplacementMissEvictionControl(benchmark::State& state) {
 BENCHMARK(BM_ReplacementMissEvictionControl)->Apply(repl_arg_name);
 
 void BM_ReplacementMissGlobal(benchmark::State& state) {
-  mem::PartitionedCache cache(repl_geometry(state.range(0)), 4,
-                              mem::PartitionMode::kUnpartitioned);
+  mem::CacheCore cache(repl_geometry(state.range(0)), 4, kNone);
   Rng rng(1);
   for (auto _ : state) {
     const auto tid = static_cast<ThreadId>(rng.below(4));
@@ -142,8 +140,8 @@ void index_args(benchmark::internal::Benchmark* b) {
 }
 
 void BM_IndexHit(benchmark::State& state) {
-  mem::PartitionedCache cache(index_geometry(state.range(0), state.range(1)),
-                              4, mem::PartitionMode::kEvictionControl);
+  mem::CacheCore cache(index_geometry(state.range(0), state.range(1)), 4,
+                       kEvictionControl);
   // A resident working set of ~4 lines per set: every loop access hits, with
   // a realistic mix of probe depths.
   Rng rng(7);
@@ -160,8 +158,8 @@ void BM_IndexHit(benchmark::State& state) {
 BENCHMARK(BM_IndexHit)->Apply(index_args);
 
 void BM_IndexMissEvictionControl(benchmark::State& state) {
-  mem::PartitionedCache cache(index_geometry(state.range(0), state.range(1)),
-                              4, mem::PartitionMode::kEvictionControl);
+  mem::CacheCore cache(index_geometry(state.range(0), state.range(1)), 4,
+                       kEvictionControl);
   Rng rng(1);
   for (auto _ : state) {
     const auto tid = static_cast<ThreadId>(rng.below(4));
@@ -222,8 +220,8 @@ void BM_HotPath(benchmark::State& state) {
 BENCHMARK(BM_HotPath)->Apply(hot_path_args);
 
 void BM_Retarget(benchmark::State& state) {
-  mem::PartitionedCache cache({.sets = 256, .ways = 64, .line_bytes = 64}, 4,
-                              mem::PartitionMode::kEvictionControl);
+  mem::CacheCore cache({.sets = 256, .ways = 64, .line_bytes = 64}, 4,
+                       kEvictionControl);
   const std::vector<std::uint32_t> a = {32, 16, 8, 8};
   const std::vector<std::uint32_t> b = {16, 16, 16, 16};
   bool flip = false;

@@ -39,7 +39,6 @@ CacheCore::CacheCore(const CacheGeometry& geometry, ThreadId num_threads,
   dirty_.assign(lines, 0);
   owned_.assign(static_cast<std::size_t>(geometry_.sets) * num_threads_, 0);
   fill_count_.assign(geometry_.sets, 0);
-  owned_totals_.assign(num_threads_, 0);
   if (index_kind_ == IndexKind::kHash) {
     index_ = std::make_unique<BlockWayIndex>(geometry_.sets, geometry_.ways);
   }
@@ -121,7 +120,6 @@ void CacheCore::invalidate_line(std::uint32_t set, std::uint32_t way) {
   tags_[idx] = kInvalidTag;
   fill_count_[set] -= 1;
   owned(set, owner_[idx]) -= 1;
-  --owned_totals_[owner_[idx]];
 }
 
 std::uint32_t CacheCore::choose_victim(std::uint32_t set, ThreadId thread) {
@@ -295,7 +293,6 @@ CacheCore::AccessResult CacheCore::access_in_set(ThreadId thread,
   const std::size_t idx = base + way;
   if (tags_[idx] != kInvalidTag) {
     owned(set, owner_[idx]) -= 1;
-    --owned_totals_[owner_[idx]];
     if (index_ != nullptr) index_->erase(set, tags_[idx]);
     if (dirty_[idx] != 0) ++mine.writebacks;
     if (last_accessor_[idx] != thread) {
@@ -313,7 +310,6 @@ CacheCore::AccessResult CacheCore::access_in_set(ThreadId thread,
   last_accessor_[idx] = thread;
   dirty_[idx] = (type == AccessType::kWrite) ? 1 : 0;
   owned(set, thread) += 1;
-  ++owned_totals_[thread];
   if (index_ != nullptr) index_->insert(set, block, way);
   if (lru_fast_ != nullptr) {
     lru_fast_->touch(set, way);
@@ -328,7 +324,6 @@ void CacheCore::flush() {
   std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{0});
   std::fill(owned_.begin(), owned_.end(), std::uint16_t{0});
   std::fill(fill_count_.begin(), fill_count_.end(), std::uint16_t{0});
-  std::fill(owned_totals_.begin(), owned_totals_.end(), std::uint64_t{0});
   if (index_ != nullptr) index_->clear();
   repl_->reset();
 }
@@ -355,13 +350,11 @@ std::uint32_t CacheCore::owned_in_set(std::uint32_t set,
 }
 
 std::uint64_t CacheCore::owned_total(ThreadId thread) const {
-  CAPART_CHECK(thread < num_threads_, "owned_total: thread out of range");
-  if (mono_) {
-    std::uint64_t total = 0;
-    for (const std::uint16_t filled : fill_count_) total += filled;
-    return total;
+  std::uint64_t total = 0;
+  for (std::uint32_t s = 0; s < geometry_.sets; ++s) {
+    total += owned_in_set(s, thread);
   }
-  return owned_totals_[thread];
+  return total;
 }
 
 }  // namespace capart::mem

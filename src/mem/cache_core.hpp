@@ -1,10 +1,9 @@
-// The unified cache core behind every cache structure in the simulator.
-//
-// Historically `SetAssocCache`, `PartitionedCache`, and `SetPartitionedCache`
-// each carried their own stamp-scan LRU, victim loop, and statistics — three
-// copies of the hottest code in the simulator, and three places to touch for
-// any second replacement policy. The core factors the shared machinery into
-// one class along two orthogonal axes:
+// The unified cache core behind every cache structure in the simulator:
+// private L1s and private-L2 slices are single-thread cores without
+// enforcement, the shared L2 (mem::SharedL2) is one core whose enforcement
+// follows the L2 mode, and the page-coloring cache (SetPartitionedCache)
+// maps blocks to sets over a core. The core composes one set-associative
+// array along two orthogonal axes:
 //
 //   * replacement — a pluggable `ReplacementPolicy` (true LRU / tree-PLRU /
 //     SRRIP) with compact per-set metadata, selected via
@@ -12,13 +11,13 @@
 //   * enforcement — how partitioning constrains victim choice
 //     (`PartitionEnforcement`): none, way partitioning by eviction control
 //     (paper §V), way partitioning by flush-reconfiguration (the alternative
-//     §V argues against), or set partitioning (the coloring wrapper maps
-//     blocks to sets itself and victimizes globally within the set).
+//     §V argues against), CAT-style CLOS way masks, or set partitioning
+//     (the coloring cache maps blocks to sets itself and victimizes
+//     globally within the set).
 //
-// The legacy classes remain as thin wrappers with their exact historical
-// APIs; under true LRU the core reproduces their observable behaviour
-// bit-identically (stamps induced a total recency order; the recency
-// permutation is that same order stored compactly).
+// Hits are unrestricted under every enforcement — any thread may hit on any
+// line — so constructive sharing survives partitioning. Every access is
+// write-allocate; writeback traffic is counted, not timed.
 //
 // Tag lookup — finding the resident way of a block — is a third, purely
 // mechanical axis (`CacheGeometry::index`): a linear scan over the ways, or
@@ -129,15 +128,6 @@ class CacheCore {
   /// and hittable until evicted by the threads now filling those ways.
   void set_way_ranges(std::span<const WayMask> per_thread);
 
-  /// Mask of `thread` under kClosWayMask (full cache before the first
-  /// set_way_ranges call).
-  const WayMask& way_range(ThreadId thread) const {
-    CAPART_CHECK(enforcement_ == PartitionEnforcement::kClosWayMask &&
-                     thread < ranges_.size(),
-                 "way_range: not under clos enforcement");
-    return ranges_[thread];
-  }
-
   /// Lines invalidated by the most recent set_targets() (always 0 outside
   /// kWayFlushReconfigure).
   std::uint64_t flushed_on_last_retarget() const noexcept {
@@ -157,7 +147,7 @@ class CacheCore {
   /// Lines currently owned by `thread` in set `set` (test/introspection).
   std::uint32_t owned_in_set(std::uint32_t set, ThreadId thread) const;
 
-  /// Lines currently owned by `thread` across all sets.
+  /// Lines currently owned by `thread` across all sets (an O(sets) sweep).
   std::uint64_t owned_total(ThreadId thread) const;
 
   std::span<const std::uint32_t> targets() const noexcept { return targets_; }
@@ -165,7 +155,6 @@ class CacheCore {
   const CacheGeometry& geometry() const noexcept { return geometry_; }
   ThreadId num_threads() const noexcept { return num_threads_; }
   PartitionEnforcement enforcement() const noexcept { return enforcement_; }
-  ReplacementKind replacement_kind() const noexcept { return repl_->kind(); }
   /// The concrete lookup mechanism in force (kAuto already resolved).
   IndexKind index_kind() const noexcept { return index_kind_; }
   const LookupStats& lookup_stats() const noexcept { return lookup_stats_; }
@@ -214,7 +203,7 @@ class CacheCore {
   /// every valid line — so access_in_set takes a lean path that skips them
   /// and choose_victim collapses every enforcement scope to kAnyValid
   /// (bit-identical: with one thread all scopes admit exactly the valid
-  /// lines). owned_in_set/owned_total derive from fill counts instead.
+  /// lines). owned_in_set derives from the fill counts instead.
   bool mono_ = false;
   IndexKind index_kind_;
   std::unique_ptr<ReplacementPolicy> repl_;
@@ -232,9 +221,6 @@ class CacheCore {
   /// Valid lines per set; skips the invalid-way scan once a set is full
   /// (the steady state) and bounds the first-invalid search otherwise.
   std::vector<std::uint16_t> fill_count_;
-  /// Per-thread total of owned lines across all sets, maintained on
-  /// fill/evict/flush so owned_total() is O(1) instead of an O(sets) sweep.
-  std::vector<std::uint64_t> owned_totals_;
   /// Block->way index (only when index_kind_ == kHash); mirrors the valid
   /// lines exactly — see block_index.hpp for the invariant.
   std::unique_ptr<BlockWayIndex> index_;

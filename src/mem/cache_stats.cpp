@@ -15,18 +15,6 @@ ThreadCacheCounters& ThreadCacheCounters::operator+=(
   return *this;
 }
 
-void CacheStats::reset() noexcept {
-  for (auto& c : per_thread_) c = ThreadCacheCounters{};
-}
-
-void CacheStats::accumulate(const CacheStats& o) noexcept {
-  CAPART_DCHECK(per_thread_.size() == o.per_thread_.size(),
-                "accumulating stats with a different thread count");
-  for (std::size_t t = 0; t < per_thread_.size(); ++t) {
-    per_thread_[t] += o.per_thread_[t];
-  }
-}
-
 ThreadCacheCounters CacheStats::total() const noexcept {
   ThreadCacheCounters sum;
   for (const auto& c : per_thread_) sum += c;

@@ -67,13 +67,6 @@ class CacheStats {
   /// Sum over all threads.
   ThreadCacheCounters total() const noexcept;
 
-  /// Zeroes every counter (keeps the thread count).
-  void reset() noexcept;
-
-  /// Adds another structure's counters thread by thread (banked-cache
-  /// aggregation); thread counts must match.
-  void accumulate(const CacheStats& o) noexcept;
-
   /// Fraction of all accesses that are inter-thread interactions (Fig 8).
   double inter_thread_fraction() const noexcept;
 

@@ -1,11 +1,17 @@
-// The three L2 organizations the paper compares (§IV-A2, §VII-B):
+// The L2 organizations behind every L2 mode, each over `CacheCore`s:
 //
-//   * SharedL2       — one unpartitioned cache, global LRU;
-//   * PartitionedL2  — one shared cache with §V way partitioning
-//                      (runtime-controllable targets);
-//   * PrivateL2      — per-thread slices of ways/num_threads ways each
-//                      (no sharing, data replication across slices; also the
-//                      paper's stand-in for fairness-optimal schemes).
+//   * SharedL2          — one shared cache whose enforcement follows the
+//                         mode: none (the paper's unpartitioned baseline),
+//                         §V way partitioning by eviction control
+//                         (runtime-controllable targets), flush
+//                         reconfiguration, or CAT-style CLOS way masks;
+//   * PrivateL2         — per-thread slices of ways/num_threads ways each
+//                         (no sharing, data replication across slices; also
+//                         the paper's stand-in for fairness-optimal schemes);
+//   * SetPartitionedL2  — page coloring over one set-partitioned cache.
+//
+// Bank count is timing only: CmpSystem's contention model serializes
+// same-bank accesses, and no organization is built per bank.
 #pragma once
 
 #include <cstdint>
@@ -16,10 +22,9 @@
 
 #include "src/common/types.hpp"
 #include "src/mem/cache_config.hpp"
+#include "src/mem/cache_core.hpp"
 #include "src/mem/cache_stats.hpp"
 #include "src/mem/clos.hpp"
-#include "src/mem/partitioned_cache.hpp"
-#include "src/mem/set_assoc_cache.hpp"
 #include "src/mem/set_partitioned_cache.hpp"
 
 namespace capart::mem {
@@ -104,11 +109,10 @@ class L2Organization {
   virtual const ClosPlan* clos_plan() const noexcept { return nullptr; }
 };
 
-/// Structural options for make_l2 beyond the mode (defaults reproduce the
-/// historical monolithic organizations exactly).
+/// Options for make_l2 beyond the mode.
 struct L2BuildOptions {
-  /// Bank count of the shared structure; 0/1 = monolithic. Must be a power
-  /// of two <= the set count. Only the shared way-granular modes bank.
+  /// Ignored by make_l2: banks only drive CmpSystem's contention model
+  /// (SystemConfig::l2_banks). Kept for callers that still set it.
   std::uint32_t banks = 1;
   L2Enforce enforce = L2Enforce::kModeDefault;
   /// Number of CLOSes when enforce == kClosWayMask.
@@ -121,38 +125,59 @@ std::unique_ptr<L2Organization> make_l2(L2Mode mode,
                                         ThreadId num_threads,
                                         const L2BuildOptions& opts = {});
 
-/// Shared (optionally way-partitioned) L2 over one PartitionedCache.
-class SharedOrPartitionedL2 final : public L2Organization {
+/// The shared L2 of the shared, partitioned and flush-reconfigure modes:
+/// one CacheCore. The mode picks the enforcement (none, eviction control,
+/// flush reconfiguration); L2Enforce::kClosWayMask on the partitioned mode
+/// replaces per-thread targets with a CLOS plan of contiguous way masks.
+class SharedL2 final : public L2Organization {
  public:
-  SharedOrPartitionedL2(const CacheGeometry& geometry, ThreadId num_threads,
-                        PartitionMode partition_mode);
+  /// Throws ConfigError for more threads than ways under eviction control
+  /// or flush reconfiguration (per-thread targets keep >= 1 way each); no
+  /// enforcement and CLOS masks accept any thread count.
+  SharedL2(const CacheGeometry& geometry, ThreadId num_threads, L2Mode mode,
+           L2Enforce enforce = L2Enforce::kModeDefault,
+           std::uint32_t clos_budget = 8);
 
-  bool access(ThreadId thread, Addr addr, AccessType type) override;
-  bool partitionable() const noexcept override;
+  bool access(ThreadId thread, Addr addr, AccessType type) override {
+    return core_.access(thread, addr, type).hit;
+  }
+  bool partitionable() const noexcept override {
+    return core_.enforcement() != PartitionEnforcement::kNone;
+  }
   void set_targets(std::span<const std::uint32_t> targets) override;
   std::vector<std::uint32_t> current_targets() const override;
-  const CacheStats& stats() const noexcept override { return cache_.stats(); }
+  const CacheStats& stats() const noexcept override { return core_.stats(); }
   std::uint32_t total_ways() const noexcept override {
-    return cache_.geometry().ways;
+    return core_.geometry().ways;
   }
   ThreadId num_threads() const noexcept override {
-    return cache_.num_threads();
+    return core_.num_threads();
   }
-  L2Mode mode() const noexcept override;
+  L2Mode mode() const noexcept override { return mode_; }
 
   std::uint64_t flushed_on_last_retarget() const noexcept override {
-    return cache_.flushed_on_last_retarget();
+    return core_.flushed_on_last_retarget();
   }
 
   CacheCore::LookupStats lookup_stats() const noexcept override {
-    return cache_.lookup_stats();
+    return core_.lookup_stats();
   }
 
-  /// Underlying cache, for tests and introspection benches.
-  const PartitionedCache& cache() const noexcept { return cache_; }
+  bool clos_enforced() const noexcept override {
+    return core_.enforcement() == PartitionEnforcement::kClosWayMask;
+  }
+  std::uint32_t apply_clos_plan(const ClosPlan& plan) override;
+  const ClosPlan* clos_plan() const noexcept override {
+    return clos_enforced() ? &plan_ : nullptr;
+  }
 
  private:
-  PartitionedCache cache_;
+  /// Installs plan_'s masks into the core (no update accounting).
+  void install_masks();
+
+  L2Mode mode_;
+  CacheCore core_;
+  ClosPlan plan_;  ///< meaningful only under CLOS enforcement
 };
 
 /// Private per-thread L2 slices (ways split equally; each slice keeps the
@@ -174,12 +199,12 @@ class PrivateL2 final : public L2Organization {
 
   CacheCore::LookupStats lookup_stats() const noexcept override {
     CacheCore::LookupStats total;
-    for (const SetAssocCache& slice : slices_) total += slice.lookup_stats();
+    for (const CacheCore& slice : slices_) total += slice.lookup_stats();
     return total;
   }
 
  private:
-  std::vector<SetAssocCache> slices_;
+  std::vector<CacheCore> slices_;  ///< single-thread, no enforcement
   CacheStats stats_;
   std::uint32_t total_ways_;
 };

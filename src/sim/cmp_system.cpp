@@ -6,40 +6,24 @@
 
 namespace capart::sim {
 
-namespace {
-
-// The shared way-granular organizations physically bank; the private and
-// coloring organizations keep monolithic structures (banks then only drive
-// the contention model below).
-mem::L2BuildOptions l2_build_options(const SystemConfig& config) {
-  const bool shared = config.l2_mode == mem::L2Mode::kSharedUnpartitioned ||
-                      config.l2_mode == mem::L2Mode::kPartitionedShared ||
-                      config.l2_mode == mem::L2Mode::kFlushReconfigureShared;
-  return mem::L2BuildOptions{
-      .banks = shared ? std::max<std::uint32_t>(1, config.l2_banks) : 1,
-      .enforce = config.l2_enforce,
-      .clos_budget = config.clos_budget,
-  };
-}
-
-}  // namespace
-
 CmpSystem::CmpSystem(const SystemConfig& config)
     : config_(config),
       timing_(config.timing),
       l2_(mem::make_l2(config.l2_mode, config.l2, config.num_threads,
-                       l2_build_options(config))),
+                       {.enforce = config.l2_enforce,
+                        .clos_budget = config.clos_budget})),
       counters_(config.num_threads),
       core_of_(config.num_threads) {
   CAPART_CHECK(config_.num_threads >= 1, "system needs at least one thread");
   l1s_.reserve(config_.num_threads);
   for (ThreadId t = 0; t < config_.num_threads; ++t) {
-    l1s_.emplace_back(config_.l1);
+    l1s_.emplace_back(config_.l1, 1, mem::PartitionEnforcement::kNone);
   }
   if (config_.enable_private_l2) {
     private_l2s_.reserve(config_.num_threads);
     for (ThreadId t = 0; t < config_.num_threads; ++t) {
-      private_l2s_.emplace_back(config_.private_l2);
+      private_l2s_.emplace_back(config_.private_l2, 1,
+                                mem::PartitionEnforcement::kNone);
     }
   }
   std::iota(core_of_.begin(), core_of_.end(), ThreadId{0});

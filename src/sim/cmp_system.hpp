@@ -11,8 +11,8 @@
 #include "src/cpu/perf_counters.hpp"
 #include "src/cpu/timing_model.hpp"
 #include "src/mem/cache_config.hpp"
+#include "src/mem/cache_core.hpp"
 #include "src/mem/l2_organization.hpp"
-#include "src/mem/set_assoc_cache.hpp"
 #include "src/mem/utility_monitor.hpp"
 #include "src/trace/access.hpp"
 
@@ -35,13 +35,11 @@ struct SystemConfig {
   bool enable_private_l2 = false;
   /// Geometry of each private L2 slice (default 64 KB, 8-way).
   mem::CacheGeometry private_l2 = mem::kDefaultPrivateL2;
-  /// Banks of the shared cache; 0 keeps the historical monolithic structure
-  /// with no contention (infinite bandwidth, the default). With N banks two
-  /// things happen: (timing) concurrent accesses to the same bank serialize
-  /// at `l2_bank_service_cycles` apart with the waiting time charged to the
-  /// requester, and (structure) the shared way-granular organizations build
-  /// N address-interleaved banks (see mem::BankedL2; contents stay
-  /// bit-identical to a monolithic cache for any power-of-two count).
+  /// Banks of the shared cache, timing only; 0 means no contention
+  /// (infinite bandwidth, the default). With N banks, concurrent accesses
+  /// to the same address-interleaved bank serialize `l2_bank_service_cycles`
+  /// apart, with the waiting time charged to the requester. Cache contents
+  /// never depend on the bank count.
   std::uint32_t l2_banks = 0;
   Cycles l2_bank_service_cycles = 4;
   /// Partition enforcement flavor of the shared L2 (kClosWayMask = CAT-style
@@ -56,11 +54,11 @@ struct SystemConfig {
 /// no counters. CmpSystem::resolve_private and the trace spool's resolve
 /// pass both go through here, so live and spooled runs agree by
 /// construction.
-inline trace::ResolvedLevel resolve_private(mem::SetAssocCache& l1,
-                                            mem::SetAssocCache* private_l2,
+inline trace::ResolvedLevel resolve_private(mem::CacheCore& l1,
+                                            mem::CacheCore* private_l2,
                                             Addr addr, AccessType type) {
-  if (l1.access(addr, type)) return trace::ResolvedLevel::kL1Hit;
-  if (private_l2 != nullptr && private_l2->access(addr, type)) {
+  if (l1.access(0, addr, type).hit) return trace::ResolvedLevel::kL1Hit;
+  if (private_l2 != nullptr && private_l2->access(0, addr, type).hit) {
     return trace::ResolvedLevel::kPrivateL2Hit;
   }
   return trace::ResolvedLevel::kShared;
@@ -78,7 +76,7 @@ struct PrivateRun {
 };
 
 /// Per-bank contention telemetry of the shared cache (the timing model's
-/// queueing view; per-bank hit/miss stats live on mem::BankedL2).
+/// queueing view; banks keep no hit/miss stats of their own).
 struct BankContention {
   std::uint64_t accesses = 0;
   /// Accesses that found the bank busy and had to wait.
@@ -179,8 +177,9 @@ class CmpSystem {
 
   SystemConfig config_;
   cpu::TimingModel timing_;
-  std::vector<mem::SetAssocCache> l1s_;          // one per core
-  std::vector<mem::SetAssocCache> private_l2s_;  // one per core, optional
+  // One per core, single-thread without enforcement.
+  std::vector<mem::CacheCore> l1s_;
+  std::vector<mem::CacheCore> private_l2s_;  // optional
   std::unique_ptr<mem::L2Organization> l2_;
   std::unique_ptr<mem::UtilityMonitor> umon_;
   std::vector<Cycles> bank_busy_until_;

@@ -317,7 +317,7 @@ ExperimentResult PreparedExperiment::finalize() {
                             lookup.probe_len_hist[3]);
     config_.obs.metrics->add("l2/lookup_probe_len_gt_8",
                             lookup.probe_len_hist[4]);
-    // Banked-L2 queueing: how often accesses collided on a busy bank and
+    // Bank queueing: how often accesses collided on a busy bank and
     // what the collisions cost, plus the load skew across banks.
     const std::span<const BankContention> banks = system.bank_contention();
     if (!banks.empty()) {

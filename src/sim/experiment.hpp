@@ -56,11 +56,10 @@ struct ExperimentConfig {
   mem::CacheGeometry l2 = mem::kDefaultL2;
   cpu::TimingParams timing{};
 
-  /// Banks of the shared cache (0 = monolithic with infinite bandwidth, the
-  /// default, matching the paper's setup). A power-of-two count N slices the
-  /// shared structure into N address-interleaved banks (contents stay
-  /// bit-identical; see mem::BankedL2) and enables the bank-contention
-  /// timing model.
+  /// Banks of the shared cache, timing only (0 = infinite bandwidth, the
+  /// default, matching the paper's setup). A power-of-two count N enables
+  /// the bank-contention model over N address-interleaved banks; cache
+  /// contents never depend on it.
   std::uint32_t l2_banks = 0;
   Cycles l2_bank_service_cycles = 4;
 

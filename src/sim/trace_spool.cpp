@@ -12,7 +12,7 @@
 #include "src/common/check.hpp"
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
-#include "src/mem/set_assoc_cache.hpp"
+#include "src/mem/cache_core.hpp"
 #include "src/trace/benchmarks.hpp"
 #include "src/trace/phase.hpp"
 #include "src/trace/trace_io.hpp"
@@ -91,10 +91,11 @@ void resolve_thread(const ExperimentConfig& config,
   trace::PhasedGenerator gen(trace::PhaseSchedule(profile.threads[t].phases),
                              root.fork(t), private_region_base(t),
                              shared_region_base());
-  mem::SetAssocCache l1(config.l1);
-  std::unique_ptr<mem::SetAssocCache> pl2;
+  mem::CacheCore l1(config.l1, 1, mem::PartitionEnforcement::kNone);
+  std::unique_ptr<mem::CacheCore> pl2;
   if (config.enable_private_l2) {
-    pl2 = std::make_unique<mem::SetAssocCache>(config.private_l2);
+    pl2 = std::make_unique<mem::CacheCore>(config.private_l2, 1,
+                                           mem::PartitionEnforcement::kNone);
   }
 
   std::vector<trace::PackedOp> ops;
@@ -104,9 +105,9 @@ void resolve_thread(const ExperimentConfig& config,
     trace::NextOp op = gen.next();
     // The driver pulls this op (cum < per_thread) and executes its access
     // only when the gap plus the access itself still fit the thread's total
-    // budget; a final op whose gap alone exhausts the budget is pulled but
-    // its access never runs — mirrored here by leaving it kUnresolved, which
-    // doubles as a tripwire (memory_access_resolved aborts on it).
+    // budget. Otherwise the budget ends inside the op's gap, so the op never
+    // executes: its access is not resolved (it stays kUnresolved) and leaves
+    // the private caches untouched, as in a live run.
     const bool executed = cum + op.gap + 1 <= per_thread;
     cum += op.gap + 1;
     if (executed) {

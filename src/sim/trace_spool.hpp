@@ -19,9 +19,9 @@
 // Bit-identity: the resolve pass consumes the generator exactly as the
 // driver would (an op's access executes iff the thread's cumulative
 // instruction budget admits its gap plus one access; see the loop in
-// resolve_thread) and runs the same SetAssocCache code against the same
-// geometry, so the replayed run's counters, interval boundaries and shared
-// cache contents are byte-for-byte those of a live run. Asserted by
+// resolve_thread) and runs the same sim::resolve_private code against the
+// same geometry, so the replayed run's counters, interval boundaries and
+// shared cache contents are byte-for-byte those of a live run. Asserted by
 // tests/test_trace_spool.cpp and the fig19-21 byte-identity gate.
 //
 // Keys and safety: every file stores its full human-readable key (profile,

@@ -13,15 +13,13 @@
 #include "expect_config_error.hpp"
 #include "src/core/clos_mapper.hpp"
 #include "src/core/partitioner_registry.hpp"
-#include "src/mem/banked_l2.hpp"
 #include "src/mem/cache_core.hpp"
-#include "src/mem/partitioned_cache.hpp"
+#include "src/mem/l2_organization.hpp"
 #include "src/sim/experiment.hpp"
 
 namespace capart {
 namespace {
 
-using mem::BankedL2;
 using mem::CacheCore;
 using mem::CacheGeometry;
 using mem::ClosPlan;
@@ -272,9 +270,9 @@ TEST(ClosEnforcement, MaskChangeNeverFlushes) {
   EXPECT_EQ(cache.owned_in_set(0, 1), 4u);
 }
 
-TEST(BankedClos, ApplyPlanCountsChangedMasksOnly) {
-  BankedL2 l2(geom(8, 8), 4, 2, mem::PartitionMode::kEvictionControl,
-              /*clos=*/true, /*clos_budget=*/4);
+TEST(SharedL2, ApplyPlanCountsChangedMasksOnly) {
+  mem::SharedL2 l2(geom(8, 8), 4, mem::L2Mode::kPartitionedShared,
+                   mem::L2Enforce::kClosWayMask, /*clos_budget=*/4);
   ASSERT_TRUE(l2.clos_enforced());
   ASSERT_NE(l2.clos_plan(), nullptr);
   // Re-applying the plan in force changes nothing -> no mask-update cost.
@@ -303,7 +301,13 @@ TEST(ClosConfig, NonClosModesRejectMoreThreadsThanWaysRecoverably) {
   // Satellite: the historical CHECK-abort is now a recoverable ConfigError
   // naming the flag and pointing at the CLOS escape hatch.
   EXPECT_CONFIG_ERROR(
-      mem::PartitionedCache(geom(16, 4), 6, mem::PartitionMode::kEvictionControl),
+      mem::SharedL2(geom(16, 4), 6, mem::L2Mode::kPartitionedShared),
+      "more threads");
+  EXPECT_CONFIG_ERROR(
+      mem::SharedL2(geom(16, 4), 6, mem::L2Mode::kPartitionedShared),
+      "--l2-enforce=clos");
+  EXPECT_CONFIG_ERROR(
+      mem::SharedL2(geom(16, 4), 6, mem::L2Mode::kFlushReconfigureShared),
       "more threads");
   sim::ExperimentConfig config;
   config.num_threads = 16;

@@ -204,6 +204,41 @@ TEST(Experiment, RejectsDegenerateConfigs) {
   EXPECT_CONFIG_ERROR(run_experiment(c2), ">= 1 interval");
 }
 
+TEST(Experiment, BankCountNeverDecidesAcceptance) {
+  // Without a policy the shared L2 needs no way per thread, so 8 threads on
+  // 4 ways run at any bank count. Bank contention shifts thread clocks and
+  // thereby the interleaving of shared accesses, so hit counts may differ;
+  // each thread's shared-access count and the allocations may not.
+  // (CmpSystem.BankCountNeverChangesSharedCacheResults pins the contents.)
+  ExperimentConfig c = small("cg");
+  c.num_threads = 8;
+  c.l2 = {.sets = 256, .ways = 4, .line_bytes = 64};
+  c.l2_mode = mem::L2Mode::kSharedUnpartitioned;
+  c.policy = "none";
+  c.l2_banks = 0;
+  const ExperimentResult monolithic = run_experiment(c);
+  c.l2_banks = 2;
+  const ExperimentResult banked = run_experiment(c);
+  ASSERT_EQ(monolithic.l2_stats.num_threads(), 8u);
+  ASSERT_EQ(banked.l2_stats.num_threads(), 8u);
+  for (ThreadId t = 0; t < 8; ++t) {
+    EXPECT_GT(monolithic.l2_stats.thread(t).accesses, 0u) << "thread " << t;
+    EXPECT_EQ(monolithic.l2_stats.thread(t).accesses,
+              banked.l2_stats.thread(t).accesses)
+        << "thread " << t;
+  }
+  ASSERT_FALSE(monolithic.intervals.empty());
+  ASSERT_FALSE(banked.intervals.empty());
+  const std::vector<ThreadIntervalRecord>& last_a =
+      monolithic.intervals.back().threads;
+  const std::vector<ThreadIntervalRecord>& last_b =
+      banked.intervals.back().threads;
+  ASSERT_EQ(last_a.size(), last_b.size());
+  for (std::size_t t = 0; t < last_a.size(); ++t) {
+    EXPECT_EQ(last_a[t].ways, last_b[t].ways) << "thread " << t;
+  }
+}
+
 TEST(Experiment, RegionBasesAreDisjoint) {
   EXPECT_NE(private_region_base(0), private_region_base(1));
   EXPECT_GT(shared_region_base(), private_region_base(63));

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "src/common/rng.hpp"
-#include "src/mem/partitioned_cache.hpp"
+#include "src/mem/cache_core.hpp"
 
 namespace capart::mem {
 namespace {
@@ -124,7 +124,7 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, ReplacementPolicyParam,
 TEST_P(ReplacementPolicyParam, OwnershipConvergesWithinWaysMisses) {
   const CacheGeometry g = {
       .sets = 4, .ways = 8, .line_bytes = 64, .repl = GetParam()};
-  PartitionedCache c(g, 2, PartitionMode::kEvictionControl);
+  CacheCore c(g, 2, PartitionEnforcement::kWayEvictionControl);
   c.set_targets(std::vector<std::uint32_t>{6, 2});
   // Thread 0 floods every set far past its target.
   for (std::uint64_t b = 0; b < 64; ++b) c.access(0, blk(b), AccessType::kRead);
@@ -165,14 +165,14 @@ TEST_P(ReplacementPolicyParam, OwnershipConvergesWithinWaysMisses) {
 TEST_P(ReplacementPolicyParam, TargetValidationIsPolicyIndependent) {
   const CacheGeometry g = {
       .sets = 1, .ways = 4, .line_bytes = 64, .repl = GetParam()};
-  PartitionedCache c(g, 2, PartitionMode::kEvictionControl);
+  CacheCore c(g, 2, PartitionEnforcement::kWayEvictionControl);
   EXPECT_DEATH(c.set_targets(std::vector<std::uint32_t>{4, 1}),
                "way targets must sum to total ways");
   EXPECT_DEATH(c.set_targets(std::vector<std::uint32_t>{4, 0}),
                "every thread must keep at least one way");
   EXPECT_DEATH(c.set_targets(std::vector<std::uint32_t>{4}),
                "one way target per thread required");
-  PartitionedCache u(g, 2, PartitionMode::kUnpartitioned);
+  CacheCore u(g, 2, PartitionEnforcement::kNone);
   EXPECT_DEATH(u.set_targets(std::vector<std::uint32_t>{2, 2}),
                "set_targets is only meaningful with eviction control");
 }
@@ -182,7 +182,7 @@ TEST_P(ReplacementPolicyParam, TargetValidationIsPolicyIndependent) {
 TEST_P(ReplacementPolicyParam, StatsStayConsistentUnderRandomTraffic) {
   const CacheGeometry g = {
       .sets = 8, .ways = 4, .line_bytes = 64, .repl = GetParam()};
-  PartitionedCache c(g, 2, PartitionMode::kEvictionControl);
+  CacheCore c(g, 2, PartitionEnforcement::kWayEvictionControl);
   Rng rng(5);
   for (int i = 0; i < 20'000; ++i) {
     const auto t = static_cast<ThreadId>(rng.below(2));
@@ -204,7 +204,7 @@ TEST_P(ReplacementPolicyParam, StatsStayConsistentUnderRandomTraffic) {
 TEST_P(ReplacementPolicyParam, FlushReconfigureFlushesExcessLines) {
   const CacheGeometry g = {
       .sets = 1, .ways = 4, .line_bytes = 64, .repl = GetParam()};
-  PartitionedCache c(g, 2, PartitionMode::kFlushReconfigure);
+  CacheCore c(g, 2, PartitionEnforcement::kWayFlushReconfigure);
   c.set_targets(std::vector<std::uint32_t>{2, 2});
   c.access(0, blk(0), AccessType::kRead);
   c.access(0, blk(1), AccessType::kRead);

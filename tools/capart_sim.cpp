@@ -63,9 +63,9 @@ flags:
   --l2-index=NAME       shared-cache tag lookup: scan hash auto (default
                         auto); results are bit-identical across kinds
   --overhead=N          runtime repartition overhead in cycles (default 800)
-  --l2-banks=N          shared-cache banks: address-interleaved structure +
-                        bank-contention timing (0 = monolithic, no
-                        contention; N must be a power of two)
+  --l2-banks=N          shared-cache banks, timing only: address-interleaved
+                        bank contention (0 = no contention; N must be a
+                        power of two)
   --l2-enforce=NAME     partition enforcement: default eviction-control clos
                         (clos = CAT-style way masks; supports threads > ways)
   --clos-budget=N       CLOS count with --l2-enforce=clos (default 8)
