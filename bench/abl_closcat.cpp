@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   auto clos_config = [&](std::uint32_t threads, std::uint32_t budget,
                          core::ClosMapperKind mapper) {
     sim::ExperimentConfig cfg = bench::model_arm(scaled_base(threads));
-    cfg.l2_enforce = mem::L2Enforce::kClosWayMask;
+    cfg.l2_mode = mem::L2Mode::kClosShared;
     cfg.clos_budget = budget;
     cfg.clos_mapper = mapper;
     return cfg;
@@ -65,7 +65,9 @@ int main(int argc, char** argv) {
     }
     // Per-thread eviction control only exists up to one way per thread.
     if (threads <= mem::kDefaultL2.ways) {
-      spec.add(evict_key(threads), bench::model_arm(scaled_base(threads)));
+      sim::ExperimentConfig evict = bench::model_arm(scaled_base(threads));
+      evict.l2_mode = mem::L2Mode::kPartitionedShared;
+      spec.add(evict_key(threads), evict);
     }
   }
   for (const core::ClosMapperKind kind : core::kAllClosMapperKinds) {

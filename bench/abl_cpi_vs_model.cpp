@@ -11,17 +11,18 @@
 int main(int argc, char** argv) {
   using namespace capart;
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const auto apps = bench::profiles_or(opt, trace::benchmark_names());
   bench::banner("Ablation: CPI-proportional vs model-based partitioning",
                 opt);
 
   const sim::BatchResult batch = bench::run_spec(
-      bench::profile_sweep(opt, trace::benchmark_names(),
-                           {"model", "cpi", "shared"}, "abl_cpi_vs_model"),
+      bench::profile_sweep(opt, apps, {"model", "cpi", "shared"},
+                           "abl_cpi_vs_model"),
       opt);
 
   report::Table table({"app", "model vs cpi-proportional", "model vs shared",
                        "cpi-prop vs shared"});
-  for (const std::string& app : trace::benchmark_names()) {
+  for (const std::string& app : apps) {
     const auto& model = batch.at(bench::arm_key(app, "model"));
     const auto& cpi = batch.at(bench::arm_key(app, "cpi"));
     const auto& shared = batch.at(bench::arm_key(app, "shared"));

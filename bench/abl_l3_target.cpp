@@ -23,12 +23,13 @@ capart::sim::ExperimentConfig three_level(capart::sim::ExperimentConfig cfg) {
 int main(int argc, char** argv) {
   using namespace capart;
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const auto apps = bench::profiles_or(opt, trace::benchmark_names());
   bench::banner(
       "Ablation: partitioning a shared L3 behind private per-core L2s", opt);
 
   sim::ExperimentSpec spec;
   spec.name = "abl_l3_target";
-  for (const std::string& app : trace::benchmark_names()) {
+  for (const std::string& app : apps) {
     const sim::ExperimentConfig base =
         three_level(bench::base_config(opt, app));
     spec.add(bench::arm_key(app, "model"), bench::model_arm(base));
@@ -40,7 +41,7 @@ int main(int argc, char** argv) {
 
   report::Table table({"app", "vs shared L3", "vs static-equal L3"});
   double total_shared = 0.0, total_equal = 0.0;
-  for (const std::string& app : trace::benchmark_names()) {
+  for (const std::string& app : apps) {
     const auto& dynamic = batch.at(bench::arm_key(app, "model"));
     const auto& shared = batch.at(bench::arm_key(app, "shared"));
     const auto& equal = batch.at(bench::arm_key(app, "static_equal"));
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
     total_equal += ie;
     table.add_row({app, report::fmt_pct(is, 1), report::fmt_pct(ie, 1)});
   }
-  const auto n = static_cast<double>(trace::benchmark_names().size());
+  const auto n = static_cast<double>(apps.size());
   table.add_row({"average", report::fmt_pct(total_shared / n, 1),
                  report::fmt_pct(total_equal / n, 1)});
   table.print(std::cout);

@@ -14,19 +14,20 @@
 int main(int argc, char** argv) {
   using namespace capart;
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const auto apps = bench::profiles_or(opt, trace::benchmark_names());
   bench::banner(
       "Ablation: way partitioning (paper §V) vs page-coloring set "
       "partitioning",
       opt);
 
   const sim::BatchResult batch = bench::run_spec(
-      bench::profile_sweep(opt, trace::benchmark_names(),
-                           {"model", "coloring", "shared"}, "abl_mechanism"),
+      bench::profile_sweep(opt, apps, {"model", "coloring", "shared"},
+                           "abl_mechanism"),
       opt);
 
   report::Table table({"app", "ways vs shared", "colors vs shared",
                        "ways vs colors"});
-  for (const std::string& app : trace::benchmark_names()) {
+  for (const std::string& app : apps) {
     const auto& ways = batch.at(bench::arm_key(app, "model"));
     const auto& colors = batch.at(bench::arm_key(app, "coloring"));
     const auto& shared = batch.at(bench::arm_key(app, "shared"));

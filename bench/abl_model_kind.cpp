@@ -11,17 +11,17 @@
 int main(int argc, char** argv) {
   using namespace capart;
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const auto apps = bench::profiles_or(opt, trace::benchmark_names());
   bench::banner("Ablation: spline vs piecewise-linear CPI models", opt);
 
   const sim::BatchResult batch = bench::run_spec(
-      bench::profile_sweep(opt, trace::benchmark_names(),
-                           {"model", "linear_model", "shared"},
+      bench::profile_sweep(opt, apps, {"model", "linear_model", "shared"},
                            "abl_model_kind"),
       opt);
 
   report::Table table(
       {"app", "spline vs shared", "linear vs shared", "spline vs linear"});
-  for (const std::string& app : trace::benchmark_names()) {
+  for (const std::string& app : apps) {
     const auto& spline = batch.at(bench::arm_key(app, "model"));
     const auto& linear = batch.at(bench::arm_key(app, "linear_model"));
     const auto& shared = batch.at(bench::arm_key(app, "shared"));

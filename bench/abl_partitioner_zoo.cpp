@@ -25,8 +25,7 @@ int main(int argc, char** argv) {
   bench::banner("Partitioner zoo: every registered partitioner vs shared LRU",
                 opt);
 
-  const std::vector<std::string> profiles =
-      opt.profiles.empty() ? trace::benchmark_names() : opt.profiles;
+  const auto profiles = bench::profiles_or(opt, trace::benchmark_names());
 
   // One arm per registered partitioner (under the short bench spellings the
   // arm registry derives), plus the shared-LRU reference.
@@ -84,7 +83,7 @@ int main(int argc, char** argv) {
       if (opt.interval_instructions == 0) {
         cfg.interval_instructions = Instructions{60'000} * kThreads;
       }
-      cfg.l2_enforce = mem::L2Enforce::kClosWayMask;
+      cfg.l2_mode = mem::L2Mode::kClosShared;
       cfg.clos_budget = kBudget;
       cfg.clos_mapper = mapper;
       return cfg;

@@ -12,19 +12,20 @@
 int main(int argc, char** argv) {
   using namespace capart;
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const auto apps = bench::profiles_or(opt, trace::benchmark_names());
   bench::banner(
       "Ablation: eviction-control vs flush-reconfiguration partitioning",
       opt);
 
   const sim::BatchResult batch = bench::run_spec(
-      bench::profile_sweep(opt, trace::benchmark_names(),
-                           {"model", "flush", "shared"}, "abl_reconfigure"),
+      bench::profile_sweep(opt, apps, {"model", "flush", "shared"},
+                           "abl_reconfigure"),
       opt);
 
   report::Table table({"app", "eviction-control vs shared",
                        "flush-reconfigure vs shared",
                        "eviction-control vs flush"});
-  for (const std::string& app : trace::benchmark_names()) {
+  for (const std::string& app : apps) {
     const auto& gradual = batch.at(bench::arm_key(app, "model"));
     const auto& flush = batch.at(bench::arm_key(app, "flush"));
     const auto& shared = batch.at(bench::arm_key(app, "shared"));

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
 
   const std::vector<std::string> arms = {"shared", "private", "static_equal",
                                          "model", "throughput"};
-  const std::vector<std::string>& profiles = trace::benchmark_names();
+  const auto profiles = bench::profiles_or(opt, trace::benchmark_names());
 
   sim::ExperimentSpec spec;
   spec.name = "abl_replacement";

@@ -11,11 +11,12 @@
 int main(int argc, char** argv) {
   using namespace capart;
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const auto apps = bench::profiles_or(opt, trace::benchmark_names());
   bench::banner("Ablation: model-based vs time-shared (fairness) partitioning",
                 opt);
 
   const sim::BatchResult batch = bench::run_spec(
-      bench::profile_sweep(opt, trace::benchmark_names(),
+      bench::profile_sweep(opt, apps,
                            {"model", "time_shared", "fair", "static_equal"},
                            "abl_time_shared"),
       opt);
@@ -23,7 +24,7 @@ int main(int argc, char** argv) {
   report::Table table({"app", "model vs time-shared",
                        "model vs fair-slowdown",
                        "time-shared vs static equal"});
-  for (const std::string& app : trace::benchmark_names()) {
+  for (const std::string& app : apps) {
     const auto& model = batch.at(bench::arm_key(app, "model"));
     const auto& shared_time = batch.at(bench::arm_key(app, "time_shared"));
     const auto& fair = batch.at(bench::arm_key(app, "fair"));

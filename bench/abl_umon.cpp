@@ -12,17 +12,18 @@
 int main(int argc, char** argv) {
   using namespace capart;
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const auto apps = bench::profiles_or(opt, trace::benchmark_names());
   bench::banner(
       "Ablation: learned (model-based) vs measured (UMON) cache curves", opt);
 
   const sim::BatchResult batch = bench::run_spec(
-      bench::profile_sweep(opt, trace::benchmark_names(),
-                           {"model", "umon", "shared"}, "abl_umon"),
+      bench::profile_sweep(opt, apps, {"model", "umon", "shared"},
+                           "abl_umon"),
       opt);
 
   report::Table table({"app", "model-based vs shared", "umon vs shared",
                        "umon vs model-based"});
-  for (const std::string& app : trace::benchmark_names()) {
+  for (const std::string& app : apps) {
     const auto& model = batch.at(bench::arm_key(app, "model"));
     const auto& umon = batch.at(bench::arm_key(app, "umon"));
     const auto& shared = batch.at(bench::arm_key(app, "shared"));

@@ -28,6 +28,7 @@ int exit_status() noexcept { return g_arms_failed.load() ? 1 : 0; }
 
 BenchOptions parse_options(int argc, char** argv) try {
   BenchOptions opt;
+  std::string_view enforce = "default";
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     const auto eq = arg.find('=');
@@ -59,12 +60,7 @@ BenchOptions parse_options(int argc, char** argv) try {
     } else if (key == "--l2-banks") {
       opt.l2_banks = parse_u32_flag(value, "--l2-banks");
     } else if (key == "--l2-enforce") {
-      if (!mem::parse_l2_enforce(value, opt.l2_enforce)) {
-        std::fprintf(stderr,
-                     "invalid value for --l2-enforce: want default, "
-                     "eviction-control or clos\n");
-        std::exit(2);
-      }
+      enforce = value;
     } else if (key == "--clos-budget") {
       opt.clos_budget = parse_u32_flag(value, "--clos-budget");
     } else if (key == "--clos-mapper") {
@@ -101,7 +97,7 @@ BenchOptions parse_options(int argc, char** argv) try {
           "       --trace-dir=DIR --trace-dir-max-bytes=N\n"
           "       --profile=NAME[,..] --arm-retries=N --arm-deadline=SECONDS\n"
           "       --l2-repl=lru|plru|srrip --l2-index=scan|hash|auto\n"
-          "       --l2-banks=N --l2-enforce=default|eviction-control|clos\n"
+          "       --l2-banks=N --l2-enforce=clos\n"
           "       --clos-budget=N --clos-mapper=none|nearest|minmax|lfoc\n"
           "       --events-out=PATH --trace-out=STEM --csv=STEM\n"
           "  --profile=NAME[,..] restrict the bench to these workload "
@@ -114,9 +110,10 @@ BenchOptions parse_options(int argc, char** argv) try {
           "  --l2-banks=N    shared-L2 bank contention (power of two; 0 = "
           "no\n"
           "                  contention; timing only, contents unchanged)\n"
-          "  --l2-enforce=NAME  partition enforcement (clos = CAT-style "
-          "way\n"
-          "                  masks; supports threads > ways)\n"
+          "  --l2-enforce=clos  alias of --l2-mode=clos for the "
+          "partitioned arms\n"
+          "                  (CAT-style way masks; supports threads > "
+          "ways)\n"
           "  --clos-budget=N    CLOS classes under clos (default 8)\n"
           "  --clos-mapper=NAME thread->CLOS clustering (default nearest)\n"
           "  --jobs=N  run up to N experiments concurrently (default: all "
@@ -143,6 +140,7 @@ BenchOptions parse_options(int argc, char** argv) try {
       std::exit(2);
     }
   }
+  opt.l2_mode = mem::fold_l2_enforce(opt.l2_mode, enforce);
   return opt;
 } catch (const Error& error) {
   std::fprintf(stderr, "%s\n", error.what());
@@ -158,6 +156,11 @@ unsigned resolved_jobs(const BenchOptions& opt) noexcept {
   return opt.jobs != 0 ? opt.jobs : sim::default_jobs();
 }
 
+std::vector<std::string> profiles_or(const BenchOptions& opt,
+                                     std::vector<std::string> defaults) {
+  return opt.profiles.empty() ? std::move(defaults) : opt.profiles;
+}
+
 sim::ExperimentConfig base_config(const BenchOptions& opt,
                                   const std::string& profile) {
   sim::ExperimentConfig cfg;
@@ -169,7 +172,7 @@ sim::ExperimentConfig base_config(const BenchOptions& opt,
   cfg.l2.repl = opt.l2_repl;
   cfg.l2.index = opt.l2_index;
   cfg.l2_banks = opt.l2_banks;
-  cfg.l2_enforce = opt.l2_enforce;
+  cfg.l2_mode = opt.l2_mode;
   cfg.clos_budget = opt.clos_budget;
   cfg.clos_mapper = opt.clos_mapper;
   cfg.trace_spool_dir = opt.trace_dir;
@@ -189,12 +192,15 @@ const std::vector<ArmEntry>& arm_registry() {
     arms.push_back({"shared", shared_arm});
     arms.push_back({"private", private_arm});
     // One arm per registered partitioner — the partitioned organization
-    // running that policy. New registry entries appear here without any
-    // bench change.
+    // running that policy: §V eviction control, or CLOS way masks when the
+    // base selected them (--l2-enforce=clos). New registry entries appear
+    // here without any bench change.
     for (const core::Partitioner* p : core::registry().describe()) {
       arms.push_back({bench_arm_name(*p),
                       [name = p->name](sim::ExperimentConfig cfg) {
-                        cfg.l2_mode = mem::L2Mode::kPartitionedShared;
+                        if (cfg.l2_mode != mem::L2Mode::kClosShared) {
+                          cfg.l2_mode = mem::L2Mode::kPartitionedShared;
+                        }
                         cfg.policy = name;
                         return cfg;
                       }});

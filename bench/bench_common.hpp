@@ -11,10 +11,10 @@
 //                           auto; bit-identical results, different speed)
 //   --l2-banks=N            shared-L2 bank contention (power of two; 0 = no
 //                           contention; timing only, contents unchanged)
-//   --l2-enforce=NAME       partition enforcement: default eviction-control
-//                           clos (clos = CAT-style way masks; supports
-//                           threads > ways)
-//   --clos-budget=N         CLOS classes under --l2-enforce=clos (default 8)
+//   --l2-enforce=NAME       alias only: default eviction-control clos; clos
+//                           runs the partitioned arms in the CLOS mode
+//                           (CAT-style way masks; supports threads > ways)
+//   --clos-budget=N         CLOS classes in the CLOS mode (default 8)
 //   --clos-mapper=NAME      thread->CLOS clustering: none nearest minmax
 //                           lfoc (default nearest)
 //   --jobs=N                concurrent experiments (default: all cores);
@@ -91,10 +91,12 @@ struct BenchOptions {
   /// Shared-L2 banks (--l2-banks=N, power of two; 0 = infinite bandwidth).
   /// Timing only: banks drive the contention model, never the contents.
   std::uint32_t l2_banks = 0;
-  /// Partition enforcement (--l2-enforce=default|eviction-control|clos) plus
-  /// the CLOS knobs (--clos-budget=N, --clos-mapper=none|nearest|minmax).
-  /// clos is the organization that supports threads > ways.
-  mem::L2Enforce l2_enforce = mem::L2Enforce::kModeDefault;
+  /// L2 mode of the partitioned arms: §V eviction control, or the CLOS mode
+  /// under --l2-enforce=clos (the organization that supports threads >
+  /// ways). base_config starts every arm from it; the shared, private,
+  /// coloring and flush arms replace it. The CLOS knobs are --clos-budget=N
+  /// and --clos-mapper=none|nearest|minmax|lfoc.
+  mem::L2Mode l2_mode = mem::L2Mode::kPartitionedShared;
   std::uint32_t clos_budget = 8;
   core::ClosMapperKind clos_mapper = core::ClosMapperKind::kNearest;
   /// Observability outputs (empty = off); see the header comment.
@@ -112,6 +114,11 @@ Instructions resolved_interval_instructions(const BenchOptions& opt) noexcept;
 
 /// The executor width run_spec uses: --jobs, or every hardware thread.
 unsigned resolved_jobs(const BenchOptions& opt) noexcept;
+
+/// The workload profiles a bench sweeps and tabulates: --profile's list, or
+/// else the bench's own default list.
+std::vector<std::string> profiles_or(const BenchOptions& opt,
+                                     std::vector<std::string> defaults);
 
 /// Baseline experiment configuration for one application profile.
 sim::ExperimentConfig base_config(const BenchOptions& opt,

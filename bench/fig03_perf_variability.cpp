@@ -10,13 +10,13 @@
 int main(int argc, char** argv) {
   using namespace capart;
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const auto apps = bench::profiles_or(opt, trace::benchmark_names());
   bench::banner(
       "Fig 3: normalized per-thread performance (shared unpartitioned L2)",
       opt);
 
   const sim::BatchResult batch = bench::run_spec(
-      bench::profile_sweep(opt, trace::benchmark_names(), {"shared"}, "fig03"),
-      opt);
+      bench::profile_sweep(opt, apps, {"shared"}, "fig03"), opt);
 
   std::vector<std::string> headers = {"app"};
   for (ThreadId t = 0; t < opt.threads; ++t) {
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   headers.push_back("critical");
   report::Table table(headers);
 
-  for (const std::string& app : trace::benchmark_names()) {
+  for (const std::string& app : apps) {
     const sim::ExperimentResult& r = batch.at(bench::arm_key(app, "shared"));
     // Performance of a thread = 1 / execution (non-stall) cycles; all
     // threads retire equal work, so this is 1/exec_cycles up to a constant.

@@ -10,11 +10,11 @@
 int main(int argc, char** argv) {
   using namespace capart;
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const auto apps = bench::profiles_or(opt, trace::benchmark_names());
   bench::banner("Fig 4: normalized per-thread L2 misses (shared L2)", opt);
 
   const sim::BatchResult batch = bench::run_spec(
-      bench::profile_sweep(opt, trace::benchmark_names(), {"shared"}, "fig04"),
-      opt);
+      bench::profile_sweep(opt, apps, {"shared"}, "fig04"), opt);
 
   std::vector<std::string> headers = {"app"};
   for (ThreadId t = 0; t < opt.threads; ++t) {
@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   headers.push_back("max-miss thread");
   report::Table table(headers);
 
-  for (const std::string& app : trace::benchmark_names()) {
+  for (const std::string& app : apps) {
     const sim::ExperimentResult& r = batch.at(bench::arm_key(app, "shared"));
     std::uint64_t most = 1;
     std::size_t most_idx = 0;

@@ -12,16 +12,16 @@
 int main(int argc, char** argv) {
   using namespace capart;
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const auto apps = bench::profiles_or(opt, trace::benchmark_names());
   bench::banner("Fig 5: correlation of interval CPI vs interval L2 misses",
                 opt);
 
   const sim::BatchResult batch = bench::run_spec(
-      bench::profile_sweep(opt, trace::benchmark_names(), {"shared"}, "fig05"),
-      opt);
+      bench::profile_sweep(opt, apps, {"shared"}, "fig05"), opt);
 
   report::Table table({"app", "correlation coefficient"});
   double total = 0.0;
-  for (const std::string& app : trace::benchmark_names()) {
+  for (const std::string& app : apps) {
     const sim::ExperimentResult& r = batch.at(bench::arm_key(app, "shared"));
     double corr_sum = 0.0;
     int threads_counted = 0;
@@ -45,9 +45,7 @@ int main(int argc, char** argv) {
     table.add_row({app, report::fmt(corr, 3)});
   }
   table.add_row({"average",
-                 report::fmt(total / static_cast<double>(
-                                         trace::benchmark_names().size()),
-                             3)});
+                 report::fmt(total / static_cast<double>(apps.size()), 3)});
   table.print(std::cout);
   std::cout << "\n(paper: average correlation coefficient ~0.97)\n";
   return bench::exit_status();

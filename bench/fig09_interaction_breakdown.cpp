@@ -10,16 +10,16 @@
 int main(int argc, char** argv) {
   using namespace capart;
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const auto apps = bench::profiles_or(opt, trace::benchmark_names());
   bench::banner("Fig 9: constructive vs destructive inter-thread interaction",
                 opt);
 
   const sim::BatchResult batch = bench::run_spec(
-      bench::profile_sweep(opt, trace::benchmark_names(), {"shared"}, "fig09"),
-      opt);
+      bench::profile_sweep(opt, apps, {"shared"}, "fig09"), opt);
 
   report::Table table(
       {"app", "constructive (hits)", "destructive (evictions)"});
-  for (const std::string& app : trace::benchmark_names()) {
+  for (const std::string& app : apps) {
     const sim::ExperimentResult& r = batch.at(bench::arm_key(app, "shared"));
     const double constructive = r.l2_stats.constructive_fraction();
     table.add_row({app, report::fmt_pct(constructive, 1),

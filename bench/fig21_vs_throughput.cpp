@@ -11,17 +11,16 @@
 int main(int argc, char** argv) {
   using namespace capart;
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const auto apps = bench::profiles_or(opt, trace::benchmark_names());
   bench::banner("Fig 21: dynamic partitioning vs throughput-oriented scheme",
                 opt);
 
   const sim::BatchResult batch = bench::run_spec(
-      bench::profile_sweep(opt, trace::benchmark_names(),
-                           {"model", "throughput"}, "fig21"),
-      opt);
+      bench::profile_sweep(opt, apps, {"model", "throughput"}, "fig21"), opt);
 
   report::Table table({"app", "improvement"});
   double total = 0.0;
-  for (const std::string& app : trace::benchmark_names()) {
+  for (const std::string& app : apps) {
     const double imp =
         sim::improvement(batch.at(bench::arm_key(app, "model")),
                          batch.at(bench::arm_key(app, "throughput")));
@@ -30,8 +29,7 @@ int main(int argc, char** argv) {
   }
   table.add_row(
       {"average",
-       report::fmt_pct(
-           total / static_cast<double>(trace::benchmark_names().size()), 1)});
+       report::fmt_pct(total / static_cast<double>(apps.size()), 1)});
   table.print(std::cout);
   std::cout << "\n(paper: over 20% at best; the throughput scheme speeds up "
                "whichever thread buys the most misses, not the critical "

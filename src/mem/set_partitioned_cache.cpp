@@ -102,12 +102,12 @@ std::uint32_t SetPartitionedCache::set_of(std::uint64_t block,
          static_cast<std::uint32_t>(block % sets_per_color_);
 }
 
-SetPartitionedCache::AccessResult SetPartitionedCache::access(
-    ThreadId thread, Addr addr, AccessType type) {
+bool SetPartitionedCache::access(ThreadId thread, Addr addr,
+                                 AccessType type) {
   CAPART_CHECK(thread < num_threads_, "thread id out of range");
   const std::uint64_t block = geometry().block_of(addr);
   const PageInfo& info = page_of(thread, block);
-  return core_.access_in_set(thread, block, set_of(block, info), type);
+  return core_.access_in_set(thread, block, set_of(block, info), type).hit;
 }
 
 std::vector<std::uint32_t> SetPartitionedCache::colors_of(

@@ -20,7 +20,8 @@
 // The class implements the same target interface as the way-partitioned
 // cache — targets are counted in colors, and with colors == ways (the
 // default pairing of 64 colors with the 64-way cache) policies are reusable
-// unchanged. See SetPartitionedL2 for the L2Organization adapter.
+// unchanged. The cache is itself the L2 organization of the coloring mode
+// (L2Mode::kSetPartitionedShared); `total_ways()` reports the color count.
 //
 // Only the page-coloring machinery lives here; line storage, replacement
 // (`CacheGeometry::repl`), and statistics delegate to `CacheCore` in its
@@ -37,10 +38,11 @@
 #include "src/mem/cache_config.hpp"
 #include "src/mem/cache_core.hpp"
 #include "src/mem/cache_stats.hpp"
+#include "src/mem/l2_organization.hpp"
 
 namespace capart::mem {
 
-class SetPartitionedCache {
+class SetPartitionedCache final : public L2Organization {
  public:
   /// `colors` must divide the set count; `page_bytes` is the coloring
   /// granularity (default 4 KB pages).
@@ -48,24 +50,29 @@ class SetPartitionedCache {
                       std::uint32_t colors = 64,
                       std::uint32_t page_bytes = 4096);
 
-  using AccessResult = CacheCore::AccessResult;
-
-  AccessResult access(ThreadId thread, Addr addr, AccessType type);
+  bool access(ThreadId thread, Addr addr, AccessType type) override;
+  bool partitionable() const noexcept override { return true; }
 
   /// Installs new per-thread *color* targets (one per thread, each >= 1,
   /// summing to the color count). Colors move between threads immediately
   /// and every affected page is recolored; the stranded lines of recolored
   /// pages stay in their old sets until evicted (the recoloring cost).
-  void set_targets(std::span<const std::uint32_t> targets);
+  void set_targets(std::span<const std::uint32_t> targets) override;
 
-  std::span<const std::uint32_t> targets() const noexcept { return targets_; }
-  const CacheStats& stats() const noexcept { return core_.stats(); }
-  const CacheGeometry& geometry() const noexcept { return core_.geometry(); }
-  std::uint32_t colors() const noexcept { return colors_; }
-  IndexKind index_kind() const noexcept { return core_.index_kind(); }
-  const CacheCore::LookupStats& lookup_stats() const noexcept {
+  std::vector<std::uint32_t> current_targets() const override {
+    return targets_;
+  }
+  const CacheStats& stats() const noexcept override { return core_.stats(); }
+  /// The color count, so the way-based policies drive colors unchanged.
+  std::uint32_t total_ways() const noexcept override { return colors_; }
+  ThreadId num_threads() const noexcept override { return num_threads_; }
+  L2Mode mode() const noexcept override {
+    return L2Mode::kSetPartitionedShared;
+  }
+  CacheCore::LookupStats lookup_stats() const noexcept override {
     return core_.lookup_stats();
   }
+  const CacheGeometry& geometry() const noexcept { return core_.geometry(); }
 
   /// Colors currently assigned to `thread` (introspection/tests).
   std::vector<std::uint32_t> colors_of(ThreadId thread) const;

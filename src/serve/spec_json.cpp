@@ -121,19 +121,6 @@ class ObjectReader {
   std::vector<bool> used_;
 };
 
-bool parse_l2_mode(std::string_view name, mem::L2Mode& out) noexcept {
-  for (mem::L2Mode mode :
-       {mem::L2Mode::kSharedUnpartitioned, mem::L2Mode::kPartitionedShared,
-        mem::L2Mode::kPrivatePerThread, mem::L2Mode::kFlushReconfigureShared,
-        mem::L2Mode::kSetPartitionedShared}) {
-    if (name == mem::to_string(mode)) {
-      out = mode;
-      return true;
-    }
-  }
-  return false;
-}
-
 bool parse_model_kind(std::string_view name, core::ModelKind& out) noexcept {
   if (name == "cubic-spline") {
     out = core::ModelKind::kCubicSpline;
@@ -192,7 +179,6 @@ void write_config_fields(obs::JsonWriter& w, const sim::ExperimentConfig& c) {
       .end_object();
   w.key("l2_banks").value(c.l2_banks)
       .key("l2_bank_service_cycles").value(c.l2_bank_service_cycles)
-      .key("l2_enforce").value(mem::to_string(c.l2_enforce))
       .key("clos_budget").value(c.clos_budget)
       .key("clos_mapper").value(core::to_string(c.clos_mapper))
       .key("clos_mask_update_cycles").value(c.clos_mask_update_cycles)
@@ -249,10 +235,10 @@ sim::ExperimentConfig config_from_json(const obs::JsonValue& json,
     }
     c.policy = std::string(canonical);
   }
-  r.enumeration("l2_mode", c.l2_mode, parse_l2_mode,
+  r.enumeration("l2_mode", c.l2_mode, mem::parse_l2_mode,
                 "shared-unpartitioned, partitioned-shared, "
-                "private-per-thread, set-partitioned-shared or "
-                "flush-reconfigure-shared");
+                "private-per-thread, set-partitioned-shared, "
+                "flush-reconfigure-shared or clos-shared");
   r.u_int("threads", c.num_threads);
   r.u_int("intervals", c.num_intervals);
   r.u_int("interval_instructions", c.interval_instructions);
@@ -276,8 +262,6 @@ sim::ExperimentConfig config_from_json(const obs::JsonValue& json,
   }
   r.u_int("l2_banks", c.l2_banks);
   r.u_int("l2_bank_service_cycles", c.l2_bank_service_cycles);
-  r.enumeration("l2_enforce", c.l2_enforce, mem::parse_l2_enforce,
-                "default, eviction-control or clos");
   r.u_int("clos_budget", c.clos_budget);
   r.enumeration("clos_mapper", c.clos_mapper, core::parse_clos_mapper,
                 "none, nearest, minmax or lfoc");
@@ -313,6 +297,14 @@ sim::ExperimentConfig config_from_json(const obs::JsonValue& json,
       e.finish();
       c.migrations.push_back(m);
     }
+  }
+  // The enforcement alias folds into l2_mode once both have been read.
+  std::string enforce = "default";
+  r.string("l2_enforce", enforce);
+  try {
+    c.l2_mode = mem::fold_l2_enforce(c.l2_mode, enforce);
+  } catch (const ConfigError& error) {
+    fail(r.path("l2_enforce"), error.what());
   }
   r.finish();
   return c;

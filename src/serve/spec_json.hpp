@@ -21,6 +21,8 @@
 // every error throws ConfigError whose message names the offending JSON
 // path — parse failures additionally carry the byte offset reported by
 // obs::parse_json.
+// The legacy enforcement field is read as an input alias only: it folds
+// into "l2_mode" and is never written back.
 //
 // Canonicalization: canonical_spec_json re-serializes the parsed request
 // with every field present in a fixed order, so two spec documents that

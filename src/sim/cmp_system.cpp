@@ -10,8 +10,7 @@ CmpSystem::CmpSystem(const SystemConfig& config)
     : config_(config),
       timing_(config.timing),
       l2_(mem::make_l2(config.l2_mode, config.l2, config.num_threads,
-                       {.enforce = config.l2_enforce,
-                        .clos_budget = config.clos_budget})),
+                       {.clos_budget = config.clos_budget})),
       counters_(config.num_threads),
       core_of_(config.num_threads) {
   CAPART_CHECK(config_.num_threads >= 1, "system needs at least one thread");

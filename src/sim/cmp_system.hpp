@@ -42,9 +42,7 @@ struct SystemConfig {
   /// never depend on the bank count.
   std::uint32_t l2_banks = 0;
   Cycles l2_bank_service_cycles = 4;
-  /// Partition enforcement flavor of the shared L2 (kClosWayMask = CAT-style
-  /// way masks with `clos_budget` classes of service).
-  mem::L2Enforce l2_enforce = mem::L2Enforce::kModeDefault;
+  /// Classes of service of the CLOS mode (L2Mode::kClosShared).
   std::uint32_t clos_budget = 8;
 };
 

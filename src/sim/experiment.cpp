@@ -43,13 +43,7 @@ void ExperimentConfig::validate() const {
   l1.validate();
   l2.validate();
   if (enable_private_l2) private_l2.validate();
-  const bool clos = l2_enforce == mem::L2Enforce::kClosWayMask;
-  if (clos) {
-    if (l2_mode != mem::L2Mode::kPartitionedShared) {
-      throw ConfigError("l2-enforce",
-                        "clos way masks require --l2-mode=partitioned (got " +
-                            std::string(to_string(l2_mode)) + ")");
-    }
+  if (l2_mode == mem::L2Mode::kClosShared) {
     if (clos_budget < 1 || clos_budget > l2.ways) {
       throw ConfigError("clos-budget",
                         "clos budget must be in [1, l2 ways] (" +
@@ -57,29 +51,19 @@ void ExperimentConfig::validate() const {
                             std::to_string(l2.ways) + " ways)");
     }
   } else {
-    if (l2_enforce == mem::L2Enforce::kEvictionControl &&
-        l2_mode != mem::L2Mode::kPartitionedShared &&
-        l2_mode != mem::L2Mode::kFlushReconfigureShared) {
-      throw ConfigError("l2-enforce",
-                        "eviction control requires a way-partitioned mode");
-    }
-    // Non-CLOS way-granular organizations — and any policy driving the L2
-    // through per-thread targets — keep >= 1 way per thread; catching the
+    // Every other partitioning organization — and any policy driving the L2
+    // through per-thread targets — keeps >= 1 way per thread; catching the
     // violation here names the flags instead of aborting in cache setup.
-    // Clustering threads onto CLOS way masks (--l2-enforce=clos) is the
+    // Clustering threads onto CLOS way masks (--l2-mode=clos) is the
     // organization that supports threads > ways.
-    const bool way_granular =
-        l2_mode == mem::L2Mode::kPartitionedShared ||
-        l2_mode == mem::L2Mode::kFlushReconfigureShared ||
-        l2_mode == mem::L2Mode::kPrivatePerThread ||
-        l2_mode == mem::L2Mode::kSetPartitionedShared;
+    const bool way_granular = l2_mode != mem::L2Mode::kSharedUnpartitioned;
     if ((way_granular || !core::is_no_policy(policy)) &&
         l2.ways < num_threads) {
       throw ConfigError(
           "l2-ways",
           "l2 needs at least one way per thread (" + std::to_string(l2.ways) +
               " ways, " + std::to_string(num_threads) +
-              " threads); use --l2-enforce=clos to run more threads than "
+              " threads); use --l2-mode=clos to run more threads than "
               "ways");
     }
   }
@@ -146,7 +130,6 @@ PreparedExperiment::PreparedExperiment(
       .private_l2 = config_.private_l2,
       .l2_banks = config_.l2_banks,
       .l2_bank_service_cycles = config_.l2_bank_service_cycles,
-      .l2_enforce = config_.l2_enforce,
       .clos_budget = config_.clos_budget,
   };
   impl_ = std::make_unique<Impl>(sys_config);
@@ -203,7 +186,7 @@ PreparedExperiment::PreparedExperiment(
     policy = core::registry().make(config_.policy, config_.policy_options);
   }
   core::ClosRuntimeConfig clos_runtime;
-  if (config_.l2_enforce == mem::L2Enforce::kClosWayMask) {
+  if (config_.l2_mode == mem::L2Mode::kClosShared) {
     clos_runtime.mapper = core::make_clos_mapper(config_.clos_mapper);
     clos_runtime.budget = config_.clos_budget;
     clos_runtime.mask_update_cycles = config_.clos_mask_update_cycles;

@@ -63,12 +63,11 @@ struct ExperimentConfig {
   std::uint32_t l2_banks = 0;
   Cycles l2_bank_service_cycles = 4;
 
-  /// Partition enforcement of the shared L2. kClosWayMask = CAT-style CLOS
-  /// way masks (commodity-hardware semantics): policies keep emitting
-  /// per-thread targets in a virtual way space, a ClosMapper clusters the
-  /// threads onto `clos_budget` classes, and only the masks are enforced —
-  /// the organization that supports threads > ways.
-  mem::L2Enforce l2_enforce = mem::L2Enforce::kModeDefault;
+  /// CLOS knobs of L2Mode::kClosShared (CAT-style way masks,
+  /// commodity-hardware semantics): policies keep emitting per-thread
+  /// targets in a virtual way space, a ClosMapper clusters the threads onto
+  /// `clos_budget` classes, and only the masks are enforced — the
+  /// organization that supports threads > ways.
   std::uint32_t clos_budget = 8;
   core::ClosMapperKind clos_mapper = core::ClosMapperKind::kNearest;
   /// Cycles charged per CLOS mask actually rewritten at a repartition (the

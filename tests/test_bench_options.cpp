@@ -192,6 +192,35 @@ TEST(BenchArms, ProfileSweepBuildsTheCrossProduct) {
   EXPECT_EQ(spec.arms[3].config.l2_mode, mem::L2Mode::kSharedUnpartitioned);
 }
 
+TEST(BenchArms, EnforceAliasMovesOnlyThePartitionedArmsToClos) {
+  // A bench-wide --l2-enforce=clos used to copy CLOS enforcement into the
+  // shared and private arms too, failing their validation.
+  const BenchOptions opt = parse({"--l2-enforce=clos"});
+  for (const char* arm : {"model", "lfoc", "shared", "private"}) {
+    EXPECT_NO_THROW(make_arm(arm, base_config(opt, "cg")).validate()) << arm;
+  }
+  EXPECT_EQ(make_arm("model", base_config(opt, "cg")).l2_mode,
+            mem::L2Mode::kClosShared);
+  EXPECT_EQ(make_arm("shared", base_config(opt, "cg")).l2_mode,
+            mem::L2Mode::kSharedUnpartitioned);
+  EXPECT_EQ(make_arm("flush", base_config(opt, "cg")).l2_mode,
+            mem::L2Mode::kFlushReconfigureShared);
+  EXPECT_EQ(make_arm("model", base_config(parse({}), "cg")).l2_mode,
+            mem::L2Mode::kPartitionedShared);
+}
+
+TEST(BenchOptionsDeathTest, RejectsUnknownEnforceAlias) {
+  EXPECT_EXIT(parse({"--l2-enforce=msr"}), ::testing::ExitedWithCode(2),
+              "default, eviction-control or clos");
+}
+
+TEST(BenchOptions, ProfileFlagOverridesTheDefaultList) {
+  const std::vector<std::string> defaults = {"cg", "mgrid", "swim"};
+  EXPECT_EQ(profiles_or(parse({}), defaults), defaults);
+  EXPECT_EQ(profiles_or(parse({"--profile=swim,lu"}), defaults),
+            (std::vector<std::string>{"swim", "lu"}));
+}
+
 TEST(BenchArmsDeathTest, UnknownArmListsTheRegistry) {
   EXPECT_EXIT(find_arm("warp_drive"), ::testing::ExitedWithCode(2),
               "unknown experiment arm");

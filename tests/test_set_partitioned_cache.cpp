@@ -25,8 +25,8 @@ Addr blk(std::uint64_t b) { return b * 64; }
 
 TEST(SetPartitionedCache, HitAfterFill) {
   SetPartitionedCache c = make_tiny(2);
-  EXPECT_FALSE(c.access(0, blk(0), AccessType::kRead).hit);
-  EXPECT_TRUE(c.access(0, blk(0), AccessType::kRead).hit);
+  EXPECT_FALSE(c.access(0, blk(0), AccessType::kRead));
+  EXPECT_TRUE(c.access(0, blk(0), AccessType::kRead));
 }
 
 TEST(SetPartitionedCache, InitialColorSplitIsEqual) {
@@ -56,9 +56,9 @@ TEST(SetPartitionedCache, SharedPagesBreakIsolation) {
   // from — thread 0's partition.
   SetPartitionedCache c = make_tiny(2);
   c.access(0, blk(0), AccessType::kRead);  // page 0 -> thread 0's colors
-  const auto r = c.access(1, blk(0), AccessType::kRead);
-  EXPECT_TRUE(r.hit);
-  EXPECT_TRUE(r.inter_thread_hit);  // constructive sharing still works
+  EXPECT_TRUE(c.access(1, blk(0), AccessType::kRead));
+  // Constructive sharing still works: the hit is on thread 0's line.
+  EXPECT_EQ(c.stats().thread(1).inter_thread_hits, 1u);
   // Thread 1's own first-touch pages flood the same color only if they land
   // there; pages it first-touches go to ITS colors, so the destructive path
   // runs through shared pages: thread 1 touching many blocks of page 0's
@@ -95,7 +95,7 @@ TEST(SetPartitionedCache, RecoloringStrandsCachedLines) {
   c.set_targets(std::vector<std::uint32_t>{3, 1});
   EXPECT_FALSE(c.contains(blk(20)));
   // The next access misses (the recoloring cost) and refills at color 3.
-  EXPECT_FALSE(c.access(1, blk(20), AccessType::kRead).hit);
+  EXPECT_FALSE(c.access(1, blk(20), AccessType::kRead));
   EXPECT_TRUE(c.contains(blk(20)));
 }
 
@@ -116,10 +116,12 @@ TEST(SetPartitionedCache, GeometryValidation) {
                "multiple of the line size");
 }
 
-TEST(SetPartitionedL2, AdapterReportsColorsAsWays) {
-  // The default 256-set/64-way geometry pairs one color per way, so the
-  // policies' target arithmetic carries over.
+TEST(SetPartitionedCache, ReportsColorsAsWays) {
+  // The coloring mode's organization is the cache itself. The default
+  // 256-set/64-way geometry pairs one color per way, so the policies'
+  // target arithmetic carries over.
   auto l2 = make_l2(L2Mode::kSetPartitionedShared, kDefaultL2, 4);
+  EXPECT_NE(dynamic_cast<SetPartitionedCache*>(l2.get()), nullptr);
   EXPECT_TRUE(l2->partitionable());
   EXPECT_EQ(l2->total_ways(), 64u);
   EXPECT_EQ(l2->mode(), L2Mode::kSetPartitionedShared);

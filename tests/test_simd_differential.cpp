@@ -112,20 +112,11 @@ TEST(SimdDifferential, FindTagEdgeWidths) {
   EXPECT_EQ(mem::simd::find_tag(tags.data(), 0, 42), 0u);
 }
 
-struct EnforceMode {
-  const char* name;
-  mem::L2Mode l2_mode;
-  mem::L2Enforce enforce;
-};
-
-const EnforceMode kModes[] = {
-    {"default", mem::L2Mode::kPartitionedShared, mem::L2Enforce::kModeDefault},
-    {"eviction-control", mem::L2Mode::kPartitionedShared,
-     mem::L2Enforce::kEvictionControl},
-    {"clos", mem::L2Mode::kPartitionedShared, mem::L2Enforce::kClosWayMask},
-    {"flush", mem::L2Mode::kFlushReconfigureShared,
-     mem::L2Enforce::kModeDefault},
-};
+// The three enforcement strategies a partitioned run can be under: §V
+// eviction control, CAT-style CLOS way masks, and flush reconfiguration.
+const mem::L2Mode kModes[] = {mem::L2Mode::kPartitionedShared,
+                              mem::L2Mode::kClosShared,
+                              mem::L2Mode::kFlushReconfigureShared};
 
 void expect_identical(const sim::ExperimentResult& a,
                       const sim::ExperimentResult& b,
@@ -149,7 +140,7 @@ TEST(SimdDifferential, ScanProbeMatchesHashIndexAcrossTheMatrix) {
 
   const char* policies[] = {"ucp", "model-based", "static-equal"};
   for (const char* policy : policies) {
-    for (const EnforceMode& mode : kModes) {
+    for (const mem::L2Mode mode : kModes) {
       sim::ExperimentConfig cfg;
       cfg.profile = "cg";
       cfg.num_threads = 4;
@@ -157,10 +148,10 @@ TEST(SimdDifferential, ScanProbeMatchesHashIndexAcrossTheMatrix) {
       cfg.interval_instructions = 24'000;
       cfg.policy = policy;
       cfg.seed = mix();
-      cfg.l2_mode = mode.l2_mode;
-      cfg.l2_enforce = mode.enforce;
+      cfg.l2_mode = mode;
 
-      const std::string what = std::string(policy) + "/" + mode.name +
+      const std::string what = std::string(policy) + "/" +
+                               std::string(mem::to_string(mode)) +
                                " seed=" + std::to_string(cfg.seed);
       sim::ExperimentConfig scan = cfg;
       scan.l2.index = mem::IndexKind::kScan;

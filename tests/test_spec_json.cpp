@@ -25,7 +25,7 @@ sim::ExperimentConfig full_config() {
   sim::ExperimentConfig c;
   c.profile = "mg";
   c.num_threads = 3;
-  c.l2_mode = mem::L2Mode::kSetPartitionedShared;
+  c.l2_mode = mem::L2Mode::kClosShared;
   c.policy = "fair-slowdown";
   c.policy_options.model_kind = core::ModelKind::kPiecewiseLinear;
   c.policy_options.ewma_alpha = 0.5;
@@ -52,7 +52,6 @@ sim::ExperimentConfig full_config() {
   c.timing.streaming_memory_penalty = 120;
   c.l2_banks = 4;
   c.l2_bank_service_cycles = 9;
-  c.l2_enforce = mem::L2Enforce::kEvictionControl;
   c.clos_budget = 5;
   c.clos_mapper = core::ClosMapperKind::kMinMax;
   c.clos_mask_update_cycles = 321;
@@ -90,7 +89,7 @@ TEST(SpecJson, EveryConfigFieldSurvivesTheRoundTrip) {
   EXPECT_EQ(decoded.l2.repl, mem::ReplacementKind::kTreePlru);
   EXPECT_EQ(decoded.l2.index, mem::IndexKind::kHash);
   EXPECT_EQ(decoded.l2_banks, 4u);
-  EXPECT_EQ(decoded.l2_enforce, mem::L2Enforce::kEvictionControl);
+  EXPECT_EQ(decoded.l2_mode, mem::L2Mode::kClosShared);
   EXPECT_EQ(decoded.clos_budget, 5u);
   EXPECT_EQ(decoded.clos_mapper, core::ClosMapperKind::kMinMax);
   EXPECT_EQ(decoded.clos_mask_update_cycles, 321u);
@@ -107,11 +106,11 @@ TEST(SpecJson, EmptyObjectYieldsTheDefaultConfig) {
 
 TEST(SpecJson, ClosConfigRoundTrips) {
   sim::ExperimentConfig c;
-  c.l2_enforce = mem::L2Enforce::kClosWayMask;
+  c.l2_mode = mem::L2Mode::kClosShared;
   c.clos_budget = 4;
   c.clos_mapper = core::ClosMapperKind::kNearest;
   const sim::ExperimentConfig decoded = reparse(config_to_json(c));
-  EXPECT_EQ(decoded.l2_enforce, mem::L2Enforce::kClosWayMask);
+  EXPECT_EQ(decoded.l2_mode, mem::L2Mode::kClosShared);
   EXPECT_EQ(decoded.clos_budget, 4u);
   EXPECT_EQ(decoded.clos_mapper, core::ClosMapperKind::kNearest);
 }
@@ -164,12 +163,36 @@ TEST(SpecJson, RejectsUnknownEnumSpellings) {
   EXPECT_CONFIG_ERROR(reparse(R"({"l2":{"index":"btree"}})"),
                       "scan, hash or auto");
   EXPECT_CONFIG_ERROR(reparse(R"({"l2_enforce":"msr"})"),
-                      "default, eviction-control or clos");
+                      "spec.l2_enforce: unknown l2-enforce 'msr' (expected "
+                      "default, eviction-control or clos)");
   EXPECT_CONFIG_ERROR(reparse(R"({"clos_mapper":"furthest"})"),
                       "none, nearest, minmax or lfoc");
   EXPECT_CONFIG_ERROR(
       reparse(R"({"policy_options":{"model_kind":"quartic"}})"),
       "cubic-spline or piecewise-linear");
+}
+
+TEST(SpecJson, EnforceAliasFoldsIntoTheMode) {
+  // The legacy field is input-only: it folds into l2_mode and is never
+  // written back.
+  const sim::ExperimentConfig clos =
+      reparse(R"({"l2_mode":"partitioned-shared","l2_enforce":"clos"})");
+  EXPECT_EQ(clos.l2_mode, mem::L2Mode::kClosShared);
+  EXPECT_EQ(config_to_json(clos).find("l2_enforce"), std::string::npos);
+  EXPECT_EQ(reparse(R"({"l2_enforce":"eviction-control"})").l2_mode,
+            mem::L2Mode::kPartitionedShared);
+  EXPECT_EQ(reparse(R"({"l2_mode":"clos","l2_enforce":"default"})").l2_mode,
+            mem::L2Mode::kClosShared);
+}
+
+TEST(SpecJson, RejectsFlushWithEvictionControl) {
+  // This pair used to run plain flush reconfiguration.
+  const std::string pair =
+      R"({"l2_mode":"flush-reconfigure-shared",)"
+      R"("l2_enforce":"eviction-control"})";
+  EXPECT_CONFIG_ERROR(reparse(pair), "spec.l2_enforce");
+  EXPECT_CONFIG_ERROR(reparse(pair), "l2-mode=flush-reconfigure-shared");
+  EXPECT_CONFIG_ERROR(reparse(pair), "l2-enforce=eviction-control");
 }
 
 TEST(SpecJson, PolicyNoneRoundTrips) {
@@ -334,8 +357,8 @@ TEST(SpecRequestJson, GoldenSpecDocumentStaysParseable) {
   EXPECT_DOUBLE_EQ(request.deadline_seconds, 30.0);
   ASSERT_EQ(request.spec.arms.size(), 2u);
   EXPECT_EQ(request.spec.arms[0].name, "cg/model-clos");
-  EXPECT_EQ(request.spec.arms[0].config.l2_enforce,
-            mem::L2Enforce::kClosWayMask);
+  // The golden document spells CLOS through the enforcement alias.
+  EXPECT_EQ(request.spec.arms[0].config.l2_mode, mem::L2Mode::kClosShared);
   EXPECT_EQ(request.spec.arms[0].config.l2.repl,
             mem::ReplacementKind::kSrrip);
   EXPECT_EQ(request.spec.arms[0].config.l2.index, mem::IndexKind::kHash);

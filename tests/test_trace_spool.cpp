@@ -104,23 +104,11 @@ std::size_t unexecuted_tails(const ExperimentConfig& config) {
   return tails;
 }
 
-struct EnforceMode {
-  const char* name;
-  mem::L2Mode l2_mode;
-  mem::L2Enforce enforce;
-};
-
-// The four enforcement strategies a partitioned run can be under: the mode
-// default, explicit eviction control, CAT-style CLOS way masks, and the
-// flush-reconfigure organization.
-const EnforceMode kModes[] = {
-    {"default", mem::L2Mode::kPartitionedShared, mem::L2Enforce::kModeDefault},
-    {"eviction-control", mem::L2Mode::kPartitionedShared,
-     mem::L2Enforce::kEvictionControl},
-    {"clos", mem::L2Mode::kPartitionedShared, mem::L2Enforce::kClosWayMask},
-    {"flush", mem::L2Mode::kFlushReconfigureShared,
-     mem::L2Enforce::kModeDefault},
-};
+// The three enforcement strategies a partitioned run can be under: §V
+// eviction control, CAT-style CLOS way masks, and flush reconfiguration.
+const mem::L2Mode kModes[] = {mem::L2Mode::kPartitionedShared,
+                              mem::L2Mode::kClosShared,
+                              mem::L2Mode::kFlushReconfigureShared};
 
 const mem::ReplacementKind kRepls[] = {mem::ReplacementKind::kTrueLru,
                                        mem::ReplacementKind::kTreePlru,
@@ -168,7 +156,7 @@ TEST(TraceSpool, KeyCoversStreamIdentityAndNothingElse) {
   arm.policy = "model-based";
   arm.l2.index = mem::IndexKind::kHash;
   arm.l2_banks = 4;
-  arm.l2_enforce = mem::L2Enforce::kClosWayMask;
+  arm.l2_mode = mem::L2Mode::kClosShared;
   EXPECT_EQ(spool_key(arm, per_thread, 0), key);
 
   // Anything shaping the generated stream or its private-hierarchy resolve
@@ -207,7 +195,7 @@ TEST(TraceSpool, SpooledMatchesLiveAcrossTheMatrix) {
   const std::string dir = fresh_dir("capart_spool_matrix");
   std::mt19937_64 mix(base_seed);
   for (const mem::ReplacementKind repl : kRepls) {
-    for (const EnforceMode& mode : kModes) {
+    for (const mem::L2Mode mode : kModes) {
       ExperimentConfig cfg;
       cfg.profile = "cg";
       cfg.num_threads = 4;
@@ -215,13 +203,12 @@ TEST(TraceSpool, SpooledMatchesLiveAcrossTheMatrix) {
       cfg.interval_instructions = 24'000;
       cfg.policy = "ucp";
       cfg.seed = mix();
-      cfg.l2_mode = mode.l2_mode;
-      cfg.l2_enforce = mode.enforce;
+      cfg.l2_mode = mode;
       cfg.l2.repl = repl;
 
       const std::string what = std::string(mem::to_string(repl)) + "/" +
-                               mode.name + " seed=" +
-                               std::to_string(cfg.seed);
+                               std::string(mem::to_string(mode)) +
+                               " seed=" + std::to_string(cfg.seed);
       const ExperimentResult live = run_experiment(cfg);
       ExperimentConfig spooled = cfg;
       spooled.trace_spool_dir = dir;

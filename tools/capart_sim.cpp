@@ -52,7 +52,9 @@ flags:
                         (a comma-separated list runs every policy)
   --list-policies       print every registered partitioner with its aliases,
                         options and summary, then exit
-  --l2-mode=NAME        shared partitioned private coloring flush
+  --l2-mode=NAME        shared partitioned private coloring flush clos
+                        (clos = CAT-style way masks; supports threads >
+                        ways)
   --threads=N           cores/threads (default 4)
   --intervals=N         execution intervals (default 40)
   --interval-instr=N    aggregate instructions per interval (default 240000)
@@ -66,9 +68,9 @@ flags:
   --l2-banks=N          shared-cache banks, timing only: address-interleaved
                         bank contention (0 = no contention; N must be a
                         power of two)
-  --l2-enforce=NAME     partition enforcement: default eviction-control clos
-                        (clos = CAT-style way masks; supports threads > ways)
-  --clos-budget=N       CLOS count with --l2-enforce=clos (default 8)
+  --l2-enforce=NAME     alias only: default eviction-control clos; clos with
+                        the partitioned mode means --l2-mode=clos
+  --clos-budget=N       CLOS count with --l2-mode=clos (default 8)
   --clos-mapper=NAME    thread->CLOS clustering: none nearest minmax lfoc
                         (default nearest; lfoc clusters on the classes a
                         classifying policy publishes)
@@ -139,16 +141,6 @@ std::string parse_policy(std::string_view v) {
   std::exit(0);
 }
 
-mem::L2Mode parse_mode(std::string_view v) {
-  if (v == "shared") return mem::L2Mode::kSharedUnpartitioned;
-  if (v == "partitioned") return mem::L2Mode::kPartitionedShared;
-  if (v == "private") return mem::L2Mode::kPrivatePerThread;
-  if (v == "coloring") return mem::L2Mode::kSetPartitionedShared;
-  if (v == "flush") return mem::L2Mode::kFlushReconfigureShared;
-  std::fprintf(stderr, "unknown l2 mode '%.*s'\n", int(v.size()), v.data());
-  usage(2);
-}
-
 mem::ReplacementKind parse_repl(std::string_view v, const char* flag) {
   mem::ReplacementKind kind{};
   if (!mem::parse_replacement(v, kind)) {
@@ -167,17 +159,6 @@ mem::IndexKind parse_index(std::string_view v, const char* flag) {
     usage(2);
   }
   return kind;
-}
-
-mem::L2Enforce parse_enforce(std::string_view v) {
-  mem::L2Enforce enforce{};
-  if (!mem::parse_l2_enforce(v, enforce)) {
-    std::fprintf(stderr,
-                 "invalid value for --l2-enforce: want default, "
-                 "eviction-control or clos\n");
-    usage(2);
-  }
-  return enforce;
 }
 
 core::ClosMapperKind parse_mapper(std::string_view v) {
@@ -236,6 +217,7 @@ int main(int argc, char** argv) {
   std::string trace_path;
   bool want_metrics = false;
   bool quiet = false;
+  std::string_view enforce = "default";
 
   try {
     for (int i = 1; i < argc; ++i) {
@@ -255,7 +237,14 @@ int main(int argc, char** argv) {
           policies.emplace_back(name, parse_policy(name));
         }
         had_policy_flag = true;
-      } else if (key == "--l2-mode") cfg.l2_mode = parse_mode(value);
+      } else if (key == "--l2-mode") {
+        if (!mem::parse_l2_mode(value, cfg.l2_mode)) {
+          std::fprintf(stderr,
+                       "invalid value for --l2-mode: want shared, "
+                       "partitioned, private, coloring, flush or clos\n");
+          usage(2);
+        }
+      }
       else if (key == "--threads")
         cfg.num_threads = parse_u32_flag(value, "--threads");
       else if (key == "--intervals")
@@ -274,7 +263,7 @@ int main(int argc, char** argv) {
         cfg.runtime_overhead_cycles = parse_u64_flag(value, "--overhead");
       else if (key == "--l2-banks")
         cfg.l2_banks = parse_u32_flag(value, "--l2-banks");
-      else if (key == "--l2-enforce") cfg.l2_enforce = parse_enforce(value);
+      else if (key == "--l2-enforce") enforce = value;
       else if (key == "--clos-budget")
         cfg.clos_budget = parse_u32_flag(value, "--clos-budget");
       else if (key == "--clos-mapper") cfg.clos_mapper = parse_mapper(value);
@@ -306,6 +295,7 @@ int main(int argc, char** argv) {
         usage(2);
       }
     }
+    cfg.l2_mode = mem::fold_l2_enforce(cfg.l2_mode, enforce);
   } catch (const Error& error) {
     std::fprintf(stderr, "%s\n", error.what());
     usage(2);
