@@ -29,7 +29,7 @@ RuntimeSystem::RuntimeSystem(sim::CmpSystem& system,
                    sharing_.size() == system_.config().num_threads,
                "sharing profile must cover every thread (or be empty)");
   if (clos_.mapper != nullptr) {
-    CAPART_CHECK(system_.l2().clos_enforced(),
+    CAPART_CHECK(system_.l2().mode() == mem::L2Mode::kClosShared,
                  "CLOS runtime config on an L2 without CLOS enforcement");
     CAPART_CHECK(clos_.budget >= 1, "clos budget must be >= 1");
     // The virtual way space: large enough that every policy's
