@@ -11,14 +11,15 @@
 int main(int argc, char** argv) {
   using namespace capart;
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const auto apps = bench::profiles_or(opt, {"cg", "mgrid"});
   bench::banner("Ablation: shared-cache bank contention sweep", opt);
 
   sim::ExperimentSpec spec;
   spec.name = "abl_bandwidth";
-  auto key = [](const char* app, std::uint32_t banks, const char* arm) {
-    return std::string(app) + "/banks" + std::to_string(banks) + "/" + arm;
+  auto key = [](const std::string& app, std::uint32_t banks, const char* arm) {
+    return app + "/banks" + std::to_string(banks) + "/" + arm;
   };
-  for (const char* app : {"cg", "mgrid"}) {
+  for (const std::string& app : apps) {
     for (const std::uint32_t banks : {0u, 8u, 4u, 2u}) {
       sim::ExperimentConfig base = bench::base_config(opt, app);
       base.l2_banks = banks;
@@ -30,7 +31,7 @@ int main(int argc, char** argv) {
 
   report::Table table({"app", "banks", "model vs shared",
                        "model cycles", "shared cycles"});
-  for (const char* app : {"cg", "mgrid"}) {
+  for (const std::string& app : apps) {
     for (const std::uint32_t banks : {0u, 8u, 4u, 2u}) {
       const auto& model = batch.at(key(app, banks, "model"));
       const auto& shared = batch.at(key(app, banks, "shared"));

@@ -11,14 +11,15 @@
 int main(int argc, char** argv) {
   using namespace capart;
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const auto apps = bench::profiles_or(opt, {"cg", "mgrid"});
   bench::banner("Ablation: total L2 ways (capacity) sweep", opt);
 
   sim::ExperimentSpec spec;
   spec.name = "abl_cache_size";
-  auto key = [](const char* app, std::uint32_t ways, const char* arm) {
-    return std::string(app) + "/" + std::to_string(ways) + "w/" + arm;
+  auto key = [](const std::string& app, std::uint32_t ways, const char* arm) {
+    return app + "/" + std::to_string(ways) + "w/" + arm;
   };
-  for (const char* app : {"cg", "mgrid"}) {
+  for (const std::string& app : apps) {
     for (const std::uint32_t ways : {8u, 16u, 32u, 64u, 96u}) {
       sim::ExperimentConfig base = bench::base_config(opt, app);
       base.l2.ways = ways;
@@ -31,7 +32,7 @@ int main(int argc, char** argv) {
 
   report::Table table({"app", "L2 ways", "L2 size", "vs shared",
                        "vs static equal"});
-  for (const char* app : {"cg", "mgrid"}) {
+  for (const std::string& app : apps) {
     for (const std::uint32_t ways : {8u, 16u, 32u, 64u, 96u}) {
       sim::ExperimentConfig base = bench::base_config(opt, app);
       base.l2.ways = ways;

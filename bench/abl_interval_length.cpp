@@ -9,10 +9,11 @@
 int main(int argc, char** argv) {
   using namespace capart;
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const auto apps = bench::profiles_or(opt, {"cg", "swim", "mgrid"});
   bench::banner("Ablation: execution-interval length sensitivity", opt);
 
   const Instructions base_len = bench::resolved_interval_instructions(opt);
-  auto scaled = [&](const char* app, double scale) {
+  auto scaled = [&](const std::string& app, double scale) {
     sim::ExperimentConfig cfg = bench::base_config(opt, app);
     cfg.interval_instructions =
         static_cast<Instructions>(static_cast<double>(base_len) * scale);
@@ -21,15 +22,15 @@ int main(int argc, char** argv) {
         static_cast<double>(opt.intervals) / scale);
     return cfg;
   };
-  auto key = [&](const char* app, double scale, const char* arm) {
-    return std::string(app) + "/" +
+  auto key = [&](const std::string& app, double scale, const char* arm) {
+    return app + "/" +
            std::to_string(scaled(app, scale).interval_instructions) + "i/" +
            arm;
   };
 
   sim::ExperimentSpec spec;
   spec.name = "abl_interval_length";
-  for (const char* app : {"cg", "swim", "mgrid"}) {
+  for (const std::string& app : apps) {
     for (const double scale : {0.5, 1.0, 2.0, 4.0}) {
       const sim::ExperimentConfig cfg = scaled(app, scale);
       spec.add(key(app, scale, "model"), bench::model_arm(cfg));
@@ -39,7 +40,7 @@ int main(int argc, char** argv) {
   const sim::BatchResult batch = bench::run_spec(spec, opt);
 
   report::Table table({"app", "interval instr", "improvement vs shared"});
-  for (const char* app : {"cg", "swim", "mgrid"}) {
+  for (const std::string& app : apps) {
     for (const double scale : {0.5, 1.0, 2.0, 4.0}) {
       const auto& dynamic = batch.at(key(app, scale, "model"));
       const auto& shared = batch.at(key(app, scale, "shared"));

@@ -10,14 +10,15 @@
 int main(int argc, char** argv) {
   using namespace capart;
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const auto apps = bench::profiles_or(opt, {"cg", "mgrid", "equake"});
   bench::banner("Ablation: thread-migration resilience", opt);
 
-  auto key = [](const char* app, int migrations, const char* arm) {
-    return std::string(app) + "/mig" + std::to_string(migrations) + "/" + arm;
+  auto key = [](const std::string& app, int migrations, const char* arm) {
+    return app + "/mig" + std::to_string(migrations) + "/" + arm;
   };
   sim::ExperimentSpec spec;
   spec.name = "abl_migration";
-  for (const char* app : {"cg", "mgrid", "equake"}) {
+  for (const std::string& app : apps) {
     for (const int migrations : {0, 1, 3}) {
       sim::ExperimentConfig cfg = bench::model_arm(bench::base_config(opt, app));
       for (int m = 0; m < migrations; ++m) {
@@ -36,7 +37,7 @@ int main(int argc, char** argv) {
   const sim::BatchResult batch = bench::run_spec(spec, opt);
 
   report::Table table({"app", "migrations", "improvement vs shared"});
-  for (const char* app : {"cg", "mgrid", "equake"}) {
+  for (const std::string& app : apps) {
     for (const int migrations : {0, 1, 3}) {
       const auto& dynamic = batch.at(key(app, migrations, "model"));
       const auto& shared = batch.at(key(app, migrations, "shared"));

@@ -10,17 +10,18 @@
 int main(int argc, char** argv) {
   using namespace capart;
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const auto apps = bench::profiles_or(opt, {"cg", "mgrid"});
   bench::banner("Ablation: runtime repartition overhead sweep", opt);
 
   const auto overheads = {Cycles{0}, Cycles{800}, Cycles{2'000}, Cycles{5'000},
                           Cycles{20'000}};
-  auto key = [](const char* app, Cycles overhead, const char* arm) {
-    return std::string(app) + "/oh" + std::to_string(overhead) + "/" + arm;
+  auto key = [](const std::string& app, Cycles overhead, const char* arm) {
+    return app + "/oh" + std::to_string(overhead) + "/" + arm;
   };
   sim::ExperimentSpec spec;
   spec.name = "abl_overhead";
   for (const Cycles overhead : overheads) {
-    for (const char* app : {"cg", "mgrid"}) {
+    for (const std::string& app : apps) {
       sim::ExperimentConfig cfg = bench::base_config(opt, app);
       cfg.runtime_overhead_cycles = overhead;
       spec.add(key(app, overhead, "model"), bench::model_arm(cfg));
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
   for (const Cycles overhead : overheads) {
     std::vector<std::string> row = {std::to_string(overhead)};
     bool first = true;
-    for (const char* app : {"cg", "mgrid"}) {
+    for (const std::string& app : apps) {
       const auto& dynamic = batch.at(key(app, overhead, "model"));
       const auto& shared = batch.at(key(app, overhead, "shared"));
       if (first) {
